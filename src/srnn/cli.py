@@ -353,10 +353,17 @@ def cmd_train(args) -> int:
     return 0
 
 
+def _load_model_file(path):
+    if not os.path.exists(path):
+        raise UsageError(f"model file not found: {path}")
+    try:
+        return load_model(path)
+    except ValueError as e:
+        raise UsageError(f"bad model file: {e}") from None
+
+
 def cmd_eval(args) -> int:
-    if not os.path.exists(args.model):
-        raise UsageError(f"model file not found: {args.model}")
-    net = load_model(args.model)
+    net = _load_model_file(args.model)
     try:
         data = load_dataset(args.data)
     except FileNotFoundError as e:
@@ -388,9 +395,7 @@ def cmd_energy(args) -> int:
         raise UsageError("give exactly one of --model or --arch")
     sops = None
     if args.model:
-        if not os.path.exists(args.model):
-            raise UsageError(f"model file not found: {args.model}")
-        net = load_model(args.model)
+        net = _load_model_file(args.model)
         arch = ArchDescription.from_network(net)
         if args.data:
             try:
@@ -431,7 +436,11 @@ def cmd_gradcheck(args) -> int:
     check = doc.get("check", {})
     seed = args.seed if args.seed is not None else check.get("seed", 0)
     net_spec = _network_spec(doc["network"], seed_override=seed)
-    modes = check.get("modes", ["relu_exact", "surrogate_consistency"])
+    modes = check.get("modes", ["relu_exact"] if net_spec.bidirectional
+                      else ["relu_exact", "surrogate_consistency"])
+    if net_spec.bidirectional and "surrogate_consistency" in modes:
+        raise UsageError("surrogate_consistency covers plain stacks only; "
+                         "check a bidirectional network with relu_exact")
     tol_rel = check.get("tol_rel", 1e-4)
     tol_abs = check.get("tol_abs", 1e-8)
     t_steps = check.get("t_steps", 12)

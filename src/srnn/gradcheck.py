@@ -15,7 +15,9 @@ Two oracles against the vectorized backward pass in srnn.training:
    when the network is evaluated in the soft mode, where the spike
    nonlinearity is max(0, u - theta) and nothing is detached; there the
    analytic gradient must match difference quotients for every parameter
-   family, the adaptation time constants included.
+   family, the adaptation time constants included. This oracle runs over
+   `flat_layers` and `forward_any`, so it covers bidirectional networks
+   as well as plain stacks.
 """
 
 from __future__ import annotations
@@ -26,13 +28,21 @@ from typing import Optional
 
 import numpy as np
 
-from srnn.network import Network, _as_time_batch, dynamics_kind, forward_sequence
+from srnn.network import (
+    BidirectionalTrace,
+    Network,
+    _as_time_batch,
+    dynamics_kind,
+    forward_sequence,
+)
 from srnn.surrogates import MultiGaussian, SurrogateKind, surrogate_grad
 from srnn.training import (
     GradientSet,
     LayerGrads,
     _loss_and_seeds,
     backward,
+    flat_layers,
+    forward_any,
     zero_grads,
 )
 
@@ -349,10 +359,23 @@ def _compare(reference: GradientSet, candidate: GradientSet,
     return max_abs, max_rel, checked, families
 
 
-def _kink_margin(net: Network, trace) -> float:
+def _flat_traces(trace) -> list:
+    """Layer traces in the order of `flat_layers`."""
+    if isinstance(trace, BidirectionalTrace):
+        return trace.fwd_layers + [trace.head] + trace.bwd_layers
+    return trace.layers
+
+
+def _soft_loss(net, trace, targets) -> float:
+    head = trace.head if isinstance(trace, BidirectionalTrace) else trace.layers[-1]
+    loss, _, _, _, _ = _loss_and_seeds(net.spec.decode, head, targets)
+    return loss
+
+
+def _kink_margin(net, trace) -> float:
     """Distance from every unit-step state to its nearest nonlinearity kink."""
     margin = math.inf
-    for layer, lt in zip(net.layers, trace.layers):
+    for layer, lt in zip(flat_layers(net), _flat_traces(trace)):
         kind = dynamics_kind(lt.neuron)
         if kind == "alif":
             margin = min(margin, float(np.min(np.abs(lt.u - lt.theta))))
@@ -363,15 +386,13 @@ def _kink_margin(net: Network, trace) -> float:
     return margin
 
 
-def _fd_gradients(net: Network, inputs, targets, h: float) -> GradientSet:
+def _fd_gradients(net, inputs, targets, h: float) -> GradientSet:
     """Central differences of the soft-mode loss for every parameter."""
     def loss_now() -> float:
-        trace = forward_sequence(net, inputs, soft=True)
-        loss, _, _, _, _ = _loss_and_seeds(net.spec.decode, trace.layers[-1], targets)
-        return loss
+        return _soft_loss(net, forward_any(net, inputs, soft=True), targets)
 
     grads = zero_grads(net)
-    for layer, lg in zip(net.layers, grads.layers):
+    for layer, lg in zip(flat_layers(net), grads.layers):
         for name, p in layer.param_arrays().items():
             if p is None:
                 continue
@@ -389,7 +410,7 @@ def _fd_gradients(net: Network, inputs, targets, h: float) -> GradientSet:
     return grads
 
 
-def grad_check(net: Network, inputs, targets, mode: str = "relu_exact",
+def grad_check(net, inputs, targets, mode: str = "relu_exact",
                surrogate: Optional[SurrogateKind] = None,
                h: float = 1e-5) -> GradCheckReport:
     """Check the vectorized backward pass against an independent oracle.
@@ -400,7 +421,8 @@ def grad_check(net: Network, inputs, targets, mode: str = "relu_exact",
     mode against the scalar tape under the given surrogate. The report's
     kink_margin tells how close the reference forward pass came to a
     nonlinearity kink; finite differences are only trustworthy when it
-    comfortably exceeds the probe step h.
+    comfortably exceeds the probe step h. The finite-difference mode also
+    takes bidirectional networks; the tape covers plain stacks only.
     """
     if mode not in CHECK_MODES:
         raise ValueError(f"mode must be one of {CHECK_MODES}")
@@ -408,9 +430,9 @@ def grad_check(net: Network, inputs, targets, mode: str = "relu_exact",
         surrogate = MultiGaussian()
 
     if mode == "relu_exact":
-        trace = forward_sequence(net, inputs, soft=True)
+        trace = forward_any(net, inputs, soft=True)
         analytic = backward(net, trace, targets, surrogate)
-        loss, _, _, _, _ = _loss_and_seeds(net.spec.decode, trace.layers[-1], targets)
+        loss = _soft_loss(net, trace, targets)
         if not math.isfinite(loss):
             raise FloatingPointError("soft-mode loss is not finite")
         reference = _fd_gradients(net, inputs, targets, h)

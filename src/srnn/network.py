@@ -488,14 +488,25 @@ def save_model(net, path) -> None:
 
 
 def load_model(path):
-    """Read a JSON model file written by save_model."""
+    """Read a JSON model file written by save_model.
+
+    A file that is not a well-formed model raises ValueError; a missing
+    entry is named by its key.
+    """
     with open(path) as f:
         doc = json.load(f)
+    if not isinstance(doc, dict):
+        raise ValueError("model file is not a JSON object")
     if doc.get("format") != MODEL_FORMAT:
         raise ValueError(f"unsupported model format: {doc.get('format')!r}")
-    spec = _spec_from_dict(doc["spec"])
-    if "layers" in doc:
-        return Network(spec=spec, layers=[_layer_from_dict(d) for d in doc["layers"]])
-    fwd = Network(spec=spec, layers=[_layer_from_dict(d) for d in doc["forward_layers"]])
-    bwd = Network(spec=spec, layers=[_layer_from_dict(d) for d in doc["backward_layers"]])
+    try:
+        spec = _spec_from_dict(doc["spec"])
+        if "layers" in doc:
+            return Network(spec=spec, layers=[_layer_from_dict(d) for d in doc["layers"]])
+        fwd = Network(spec=spec, layers=[_layer_from_dict(d) for d in doc["forward_layers"]])
+        bwd = Network(spec=spec, layers=[_layer_from_dict(d) for d in doc["backward_layers"]])
+    except KeyError as e:
+        raise ValueError(f"model file lacks key {e.args[0]!r}") from None
+    except (TypeError, AttributeError) as e:
+        raise ValueError(f"malformed model file: {e}") from None
     return BidirectionalNetwork(spec=spec, forward_net=fwd, backward_net=bwd)

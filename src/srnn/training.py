@@ -16,6 +16,15 @@ In the soft evaluation mode (see srnn.network) nothing is detached and
 the spike derivative is exact, which is what the finite-difference
 checker relies on.
 
+Only the adjoint recursion itself runs step by step. Factors that depend
+on the recorded trace alone (surrogate values, step masks, reset gains)
+are evaluated for a block of steps at once, and the time-constant sums
+are reduced once per block. Weight gradients are each a single GEMM over
+time x batch: (T*B, fan_in)^T @ (T*B, n) for the input weights and the
+same over the shifted outputs for the recurrent weights. The gradient
+passed to the layer below is one flat GEMM, and the network input's own
+gradient, which nothing consumes, is never formed.
+
 Gradients returned by `backward` are sums over the batch axis; `fit`
 divides by the minibatch size so the update uses the mean. Minibatches
 are processed in fixed-size chunks reduced in index order, which keeps
@@ -177,122 +186,178 @@ def zero_grads(net) -> GradientSet:
     return GradientSet(layers=grads)
 
 
+# Time steps per block of the reverse sweep. Trace-only factors and the
+# time-constant sums are handled a block at a time, so their temporaries
+# stay at a block's size however long the sequence is.
+_BLOCK_STEPS = 16
+
+
+def _blocks(t_steps: int):
+    """[t0, t1) time blocks of the reverse sweep, last block first."""
+    for t0 in range((t_steps - 1) // _BLOCK_STEPS * _BLOCK_STEPS, -1, -_BLOCK_STEPS):
+        yield t0, min(t0 + _BLOCK_STEPS, t_steps)
+
+
+def _prev(seq: np.ndarray, init: np.ndarray, t0: int, t1: int) -> np.ndarray:
+    """seq[t - 1] for t in [t0, t1), with init standing in for seq[-1]."""
+    if t0 > 0:
+        return seq[t0 - 1:t1 - 1]
+    return np.concatenate([init[None], seq[:t1 - 1]], axis=0)
+
+
+def _sum_outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Sum over time t and sample i of outer(a[t, i], b[t, i]), as one GEMM.
+
+    A time-major `a` reshapes for free. The network input is the swapped
+    axes of a (B, T, N) array, possibly time-reversed; it is reduced in its
+    own batch-major layout and the narrower `b` is the one that is copied.
+    """
+    if a.strides[0] < 0:
+        a, b = a[::-1], b[::-1]
+    if not a.flags.c_contiguous and a.transpose(1, 0, 2).flags.c_contiguous:
+        a, b = a.transpose(1, 0, 2), b.transpose(1, 0, 2)
+    return a.reshape(-1, a.shape[2]).T @ b.reshape(-1, b.shape[2])
+
+
 def _layer_backward(layer: Layer, tr: LayerTrace, below_y: np.ndarray,
                     g_ext: Optional[np.ndarray], g_direct: Optional[np.ndarray],
                     surrogate: SurrogateKind, soft: bool,
-                    train_tau_m: bool, train_tau_adp: bool):
-    """Reverse-time sweep over one layer. Returns (LayerGrads, g_below)."""
+                    train_tau_m: bool, train_tau_adp: bool,
+                    need_g_below: bool = True):
+    """Reverse-time sweep over one layer. Returns (LayerGrads, g_below).
+
+    g_below is None when need_g_below is false. During the sweep `dpre`
+    holds the membrane adjoint lam_u; it becomes the drive adjoint
+    d loss / d pre = lam_u * to_pre in one pass afterwards, so the
+    recurrent path applies to_pre through `w_back` instead.
+    """
     s = layer.spec
     kind = dynamics_kind(s.neuron)
     t_steps, batch, n = tr.u.shape
-    u_prev = np.concatenate([tr.u_init[None], tr.u[:-1]], axis=0)
-    y_prev = np.concatenate([tr.y_init[None], tr.y[:-1]], axis=0)
-    dpre = np.zeros((t_steps, batch, n))
+    last = t_steps - 1
+    dpre = np.empty((t_steps, batch, n))
     lam_u_next = np.zeros((batch, n))
-    w_rec_t = layer.w_rec.T if layer.w_rec is not None else None
     d_tau_m = np.zeros(n)
     d_tau_adp = np.zeros(n) if layer.tau_adp is not None else None
+    if kind in ("alif", "relu"):
+        alpha = np.exp(-s.dt / layer.tau_m)
+        to_pre = (1.0 - alpha) * s.r_m
+    elif kind in ("lif", "readout"):
+        leak = 1.0 - s.dt / layer.tau_m
+        to_pre = s.r_m * s.dt / layer.tau_m
+    else:
+        raise ValueError(f"no backward rule for layer kind {kind!r}")
+    w_back = to_pre[:, None] * layer.w_rec.T if layer.w_rec is not None else None
+    no_ext = np.zeros((batch, n))
 
     if kind == "alif":
-        alpha = np.exp(-s.dt / layer.tau_m)
         rho = np.exp(-s.dt / layer.tau_adp)
-        eta_prev = np.concatenate([tr.eta_init[None], tr.eta[:-1]], axis=0)
+        eta_gain = 1.0 - rho
+        lam_eta = np.empty((min(_BLOCK_STEPS, t_steps), batch, n))
         lam_eta_next = np.zeros((batch, n))
         acc_alpha = np.zeros(n)
         acc_rho = np.zeros(n)
-        for t in range(t_steps - 1, -1, -1):
-            gy = np.zeros((batch, n)) if g_ext is None else g_ext[t].astype(float).copy()
-            if w_rec_t is not None and t < t_steps - 1:
-                gy += dpre[t + 1] @ w_rec_t
-            gy += (1.0 - rho) * lam_eta_next
+        for t0, t1 in _blocks(t_steps):
+            theta = tr.theta[t0:t1]
             if soft:
-                gy -= tr.theta[t] * lam_u_next
-                g = (tr.u[t] >= tr.theta[t]).astype(float)
+                g = (tr.u[t0:t1] >= theta).astype(float)
             else:
-                g = surrogate_grad(surrogate, tr.u[t], tr.theta[t])
-            lam_u = g * gy + alpha * lam_u_next
-            if g_direct is not None:
-                lam_u = lam_u + g_direct[t]
-            lam_theta = -g * gy
-            if soft:
-                lam_theta -= tr.y[t] * lam_u_next
-            lam_eta = s.beta * lam_theta + rho * lam_eta_next
-            dpre[t] = lam_u * ((1.0 - alpha) * s.r_m)
-            acc_alpha += np.sum(lam_u * (u_prev[t] - s.r_m * tr.pre[t]), axis=0)
-            acc_rho += np.sum(lam_eta * (eta_prev[t] - y_prev[t]), axis=0)
-            lam_u_next, lam_eta_next = lam_u, lam_eta
+                g = surrogate_grad(surrogate, tr.u[t0:t1], theta)
+            for t in range(t1 - 1, t0 - 1, -1):
+                k = t - t0
+                gy = eta_gain * lam_eta_next
+                if g_ext is not None:
+                    gy += g_ext[t]
+                if w_back is not None and t < last:
+                    gy += lam_u_next @ w_back
+                if soft:
+                    gy -= theta[k] * lam_u_next
+                q = g[k] * gy                      # = -lam_theta in hard mode
+                lam_u = np.multiply(alpha, lam_u_next, out=dpre[t])
+                lam_u += q
+                if g_direct is not None:
+                    lam_u += g_direct[t]
+                if soft:
+                    q += tr.y[t] * lam_u_next
+                np.multiply(rho, lam_eta_next, out=lam_eta[k])
+                lam_eta[k] -= s.beta * q
+                lam_u_next, lam_eta_next = lam_u, lam_eta[k]
+            lam_eta_next = lam_eta_next.copy()     # the buffer is reused
+            drive = _prev(tr.u, tr.u_init, t0, t1) - s.r_m * tr.pre[t0:t1]
+            acc_alpha += np.einsum("tbn,tbn->n", dpre[t0:t1], drive)
+            adapt = _prev(tr.eta, tr.eta_init, t0, t1) - _prev(tr.y, tr.y_init, t0, t1)
+            acc_rho += np.einsum("tbn,tbn->n", lam_eta[:t1 - t0], adapt)
         if train_tau_m:
             d_tau_m = acc_alpha * (alpha * s.dt / layer.tau_m ** 2)
         if train_tau_adp:
             d_tau_adp = acc_rho * (rho * s.dt / layer.tau_adp ** 2)
 
     elif kind == "lif":
-        leak = 1.0 - s.dt / layer.tau_m
-        gain = s.r_m * s.dt / layer.tau_m
-        held = u_prev * (1.0 - y_prev) + s.u_r * y_prev
         acc_tau = np.zeros(n)
-        for t in range(t_steps - 1, -1, -1):
-            gy = np.zeros((batch, n)) if g_ext is None else g_ext[t].astype(float).copy()
-            if w_rec_t is not None and t < t_steps - 1:
-                gy += dpre[t + 1] @ w_rec_t
+        for t0, t1 in _blocks(t_steps):
+            u = tr.u[t0:t1]
             if soft:
-                gy += leak * (s.u_r - tr.u[t]) * lam_u_next
-                g = (tr.u[t] >= s.theta).astype(float)
+                g = (u >= s.theta).astype(float)
+                reset = leak * (s.u_r - u)
             else:
-                g = surrogate_grad(surrogate, tr.u[t], s.theta)
-            lam_u = g * gy + leak * (1.0 - tr.y[t]) * lam_u_next
-            if g_direct is not None:
-                lam_u = lam_u + g_direct[t]
-            dpre[t] = lam_u * gain
-            acc_tau += np.sum(lam_u * (held[t] - s.r_m * tr.pre[t]), axis=0)
-            lam_u_next = lam_u
+                g = surrogate_grad(surrogate, u, s.theta)
+            carry = leak * (1.0 - tr.y[t0:t1])
+            for t in range(t1 - 1, t0 - 1, -1):
+                k = t - t0
+                gy = no_ext if g_ext is None else g_ext[t]
+                if w_back is not None and t < last:
+                    gy = gy + lam_u_next @ w_back
+                if soft:
+                    gy = gy + reset[k] * lam_u_next
+                lam_u = np.multiply(carry[k], lam_u_next, out=dpre[t])
+                lam_u += g[k] * gy
+                if g_direct is not None:
+                    lam_u += g_direct[t]
+                lam_u_next = lam_u
+            u_prev = _prev(tr.u, tr.u_init, t0, t1)
+            y_prev = _prev(tr.y, tr.y_init, t0, t1)
+            held = u_prev * (1.0 - y_prev) + s.u_r * y_prev
+            acc_tau += np.einsum("tbn,tbn->n", dpre[t0:t1], held - s.r_m * tr.pre[t0:t1])
         if train_tau_m:
             d_tau_m = acc_tau * (s.dt / layer.tau_m ** 2)
 
-    elif kind == "relu":
-        alpha = np.exp(-s.dt / layer.tau_m)
-        acc_alpha = np.zeros(n)
-        for t in range(t_steps - 1, -1, -1):
-            gy = np.zeros((batch, n)) if g_ext is None else g_ext[t].astype(float).copy()
-            if w_rec_t is not None and t < t_steps - 1:
-                gy += dpre[t + 1] @ w_rec_t
-            g = (tr.u[t] > 0).astype(float)
-            lam_u = g * gy + alpha * lam_u_next
-            if g_direct is not None:
-                lam_u = lam_u + g_direct[t]
-            dpre[t] = lam_u * ((1.0 - alpha) * s.r_m)
-            acc_alpha += np.sum(lam_u * (u_prev[t] - s.r_m * tr.pre[t]), axis=0)
-            lam_u_next = lam_u
-        if train_tau_m:
-            d_tau_m = acc_alpha * (alpha * s.dt / layer.tau_m ** 2)
-
-    elif kind == "readout":
-        leak = 1.0 - s.dt / layer.tau_m
-        gain = s.r_m * s.dt / layer.tau_m
-        acc_tau = np.zeros(n)
-        for t in range(t_steps - 1, -1, -1):
-            gy = np.zeros((batch, n)) if g_ext is None else g_ext[t].astype(float).copy()
-            if w_rec_t is not None and t < t_steps - 1:
-                gy += dpre[t + 1] @ w_rec_t
-            lam_u = gy + leak * lam_u_next
-            if g_direct is not None:
-                lam_u = lam_u + g_direct[t]
-            dpre[t] = lam_u * gain
-            acc_tau += np.sum(lam_u * (u_prev[t] - s.r_m * tr.pre[t]), axis=0)
-            lam_u_next = lam_u
-        if train_tau_m:
-            d_tau_m = acc_tau * (s.dt / layer.tau_m ** 2)
     else:
-        raise ValueError(f"no backward rule for layer kind {kind!r}")
+        # relu: lam_u = (u > 0) * gy + alpha * lam_u_next
+        # readout: lam_u = gy + leak * lam_u_next
+        decay = alpha if kind == "relu" else leak
+        acc = np.zeros(n)
+        for t0, t1 in _blocks(t_steps):
+            g = (tr.u[t0:t1] > 0).astype(float) if kind == "relu" else None
+            for t in range(t1 - 1, t0 - 1, -1):
+                gy = no_ext if g_ext is None else g_ext[t]
+                if w_back is not None and t < last:
+                    gy = gy + lam_u_next @ w_back
+                lam_u = np.multiply(decay, lam_u_next, out=dpre[t])
+                lam_u += gy if g is None else g[t - t0] * gy
+                if g_direct is not None:
+                    lam_u += g_direct[t]
+                lam_u_next = lam_u
+            drive = _prev(tr.u, tr.u_init, t0, t1) - s.r_m * tr.pre[t0:t1]
+            acc += np.einsum("tbn,tbn->n", dpre[t0:t1], drive)
+        if train_tau_m:
+            scale = alpha * s.dt / layer.tau_m ** 2 if kind == "relu" \
+                else s.dt / layer.tau_m ** 2
+            d_tau_m = acc * scale
 
+    dpre *= to_pre
+    w_rec = None
+    if layer.w_rec is not None:
+        w_rec = tr.y_init.T @ dpre[0] + _sum_outer(tr.y[:-1], dpre[1:])
     grads = LayerGrads(
-        w_in=np.einsum("tbi,tbo->io", below_y, dpre),
-        w_rec=np.einsum("tbi,tbo->io", y_prev, dpre) if layer.w_rec is not None else None,
+        w_in=_sum_outer(below_y, dpre),
+        w_rec=w_rec,
         bias=dpre.sum(axis=(0, 1)),
         tau_m=d_tau_m,
         tau_adp=d_tau_adp,
     )
-    g_below = dpre @ layer.w_in.T
+    g_below = None
+    if need_g_below:
+        g_below = (dpre.reshape(-1, n) @ layer.w_in.T).reshape(t_steps, batch, -1)
     return grads, g_below
 
 
@@ -347,16 +412,17 @@ def _loss_and_seeds(decode: str, last: LayerTrace, targets):
 
 def _stack_backward(layers, traces, bottom_y, g_ext_top, g_direct_top,
                     surrogate, soft, train_tau_m, train_tau_adp):
+    """Gradients of a layer stack; the input's own gradient is never formed."""
     grads: list = [None] * len(layers)
     g_ext = g_ext_top
     g_direct = g_direct_top
     for i in range(len(layers) - 1, -1, -1):
         below = traces[i - 1].y if i > 0 else bottom_y
-        grads[i], g_below = _layer_backward(
+        grads[i], g_ext = _layer_backward(
             layers[i], traces[i], below, g_ext, g_direct, surrogate, soft,
-            train_tau_m, train_tau_adp)
-        g_ext, g_direct = g_below, None
-    return grads, g_ext
+            train_tau_m, train_tau_adp, need_g_below=i > 0)
+        g_direct = None
+    return grads
 
 
 def backward(net, trace, targets, surrogate: SurrogateKind,
@@ -374,10 +440,10 @@ def backward(net, trace, targets, surrogate: SurrogateKind,
             train_tau_m, train_tau_adp)
         fwd_hidden = net.forward_net.layers[:-1]
         bwd_hidden = net.backward_net.layers
-        fwd_grads, _ = _stack_backward(
+        fwd_grads = _stack_backward(
             fwd_hidden, trace.fwd_layers, trace.inputs, 0.5 * g_merged, None,
             surrogate, trace.soft, train_tau_m, train_tau_adp)
-        bwd_grads, _ = _stack_backward(
+        bwd_grads = _stack_backward(
             bwd_hidden, trace.bwd_layers, trace.inputs[::-1], 0.5 * g_merged[::-1],
             None, surrogate, trace.soft, train_tau_m, train_tau_adp)
         layers = fwd_grads + [head_grads] + bwd_grads
@@ -385,7 +451,7 @@ def backward(net, trace, targets, surrogate: SurrogateKind,
                            total_preds=total)
 
     loss, g_ext, g_dir, correct, total = _loss_and_seeds(decode, trace.layers[-1], targets)
-    grads, _ = _stack_backward(net.layers, trace.layers, trace.inputs, g_ext, g_dir,
+    grads = _stack_backward(net.layers, trace.layers, trace.inputs, g_ext, g_dir,
                                surrogate, trace.soft, train_tau_m, train_tau_adp)
     return GradientSet(layers=grads, loss=loss, correct=correct, total_preds=total)
 
@@ -543,6 +609,15 @@ def _batch_gradients(net, inputs, labels, idx, config, pool):
     return total, spikes, denom
 
 
+def _check_finite(net, epoch: int) -> None:
+    """Raise FloatingPointError naming the first non-finite parameter family."""
+    for i, layer in enumerate(flat_layers(net)):
+        for name, p in layer.param_arrays().items():
+            if p is not None and not np.isfinite(p).all():
+                raise FloatingPointError(f"training diverged at epoch {epoch}: "
+                                         f"{name} of layer {i} is not finite")
+
+
 def fit(spec, train_data, config: TrainingConfig, eval_data=None, threads: int = 1):
     """Train a network on a dataset. Returns (network, MetricsLog).
 
@@ -550,6 +625,8 @@ def fit(spec, train_data, config: TrainingConfig, eval_data=None, threads: int =
     an already-initialized network. `train_data` needs `.inputs` of shape
     (S, T, N) and `.labels` of shape (S,) or (S, T). The log gains one
     train row per epoch, plus an eval row when eval_data is given.
+    Raises FloatingPointError as soon as an Adam step leaves a parameter
+    non-finite, and when an epoch's mean loss is not finite.
     """
     net = init_network(spec) if isinstance(spec, NetworkSpec) else spec
     inputs = np.asarray(train_data.inputs, dtype=float)
@@ -585,6 +662,7 @@ def fit(spec, train_data, config: TrainingConfig, eval_data=None, threads: int =
                 ep_denom += denom
                 grads.scale_(1.0 / len(batch_idx))
                 adam_step(net, grads, adam, lr)
+                _check_finite(net, epoch)
             mean_loss = ep_loss / n
             if not math.isfinite(mean_loss):
                 raise FloatingPointError(f"training diverged at epoch {epoch}")

@@ -232,6 +232,30 @@ def test_energy_usage_errors(tmp_path):
                  "--fr", "0.1"]) == 2
 
 
+def test_malformed_model_files_exit_2(tmp_path, capsys):
+    cfg = pattern_config(tmp_path, out_name="mm")
+    assert main(["gen", "--config", cfg, "--out", str(tmp_path / "sets")]) == 0
+    data = str(tmp_path / "sets" / "test")
+    layerless = {"format": "srnn-model/1", "spec": {
+        "input_size": 3, "decode": "membrane_softmax", "bidirectional": False,
+        "seed": 0, "zero_init_membrane": False, "layers": []}}
+    cases = {
+        "bare.json": (json.dumps({"format": "srnn-model/1"}), "'spec'"),
+        "truncated.json": ('{"format": "srnn-model/1", "spec": {', "Expecting"),
+        "layerless.json": (json.dumps(layerless), "at least one layer"),
+    }
+    for name, (text, why) in cases.items():
+        path = tmp_path / name
+        path.write_text(text)
+        capsys.readouterr()
+        for argv in (["eval", "--model", str(path), "--data", data],
+                     ["energy", "--model", str(path), "--fr", "0.1"]):
+            assert main(argv) == 2
+            err = capsys.readouterr().err.strip().splitlines()
+            assert len(err) == 1 and "bad model file: " in err[0], err
+            assert why in err[0]
+
+
 def gradcheck_config(tmp_path, name, check):
     doc = {
         "network": {"input_size": 2,
@@ -253,6 +277,25 @@ def test_gradcheck_passes(tmp_path, capsys):
     assert main(["gradcheck", "--config", cfg]) == 0
     out = capsys.readouterr().out
     assert out.count("pass") == 2
+
+
+def test_gradcheck_covers_bidirectional_networks(tmp_path, capsys):
+    doc = {
+        "network": {"input_size": 2, "bidirectional": True,
+                    "layers": [{"size": 4, "neuron": "relu", "recurrent": True,
+                                "tau_m_init": [3.0, 0.5]},
+                               {"size": 3, "neuron": "readout",
+                                "tau_m_init": [5.0, 1.0]}],
+                    "decode": "membrane_softmax", "seed": 0},
+        "check": {"t_steps": 8},
+    }
+    cfg = write_config(tmp_path / "bidi.json", doc)
+    assert main(["gradcheck", "--config", cfg]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("relu_exact:") and out.count("pass") == 1
+    doc["check"]["modes"] = ["surrogate_consistency"]
+    cfg = write_config(tmp_path / "bidi_tape.json", doc)
+    assert main(["gradcheck", "--config", cfg]) == 2
 
 
 def test_gradcheck_reports_failure(tmp_path, capsys):

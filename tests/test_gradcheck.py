@@ -9,10 +9,16 @@ node in the hard spiking mode.
 import numpy as np
 import pytest
 
-from srnn.gradcheck import grad_check, tape_gradients
-from srnn.network import LayerSpec, NetworkSpec, forward_sequence, init_network
+from srnn.gradcheck import _kink_margin, grad_check, tape_gradients
+from srnn.network import (
+    BidirectionalNetwork,
+    LayerSpec,
+    NetworkSpec,
+    forward_sequence,
+    init_network,
+)
 from srnn.surrogates import Gaussian, Linear, MultiGaussian, SLayer
-from srnn.training import backward
+from srnn.training import backward, forward_any
 
 
 def spiking_spec(seed, decode="membrane_softmax", out_neuron="readout",
@@ -43,16 +49,32 @@ def relu_spec(seed):
     )
 
 
-def sample_case(spec, seed, t_steps=20, margin=1e-3):
+def bidirectional_spec(seed, hidden):
+    if hidden == "alif":
+        hid = dict(neuron="alif", recurrent=True, tau_m_init=(3.0, 0.5),
+                   tau_adp_init=(12.0, 2.0), b_0=0.2, beta=0.3)
+    else:
+        hid = dict(neuron="relu", recurrent=True, tau_m_init=(3.0, 0.5))
+    return NetworkSpec(
+        input_size=4,
+        layers=[LayerSpec(size=4, **hid), LayerSpec(size=3, **hid),
+                LayerSpec(size=3, neuron="readout", tau_m_init=(5.0, 1.0))],
+        decode="membrane_softmax",
+        bidirectional=True,
+        seed=seed,
+    )
+
+
+def sample_case(spec, seed, t_steps=20, margin=1e-3, batch=1, h=1e-5):
     """Draw inputs/labels, resampling until the trace clears every kink."""
-    for attempt in range(12):
+    for attempt in range(40):
         rng = np.random.default_rng([seed, attempt])
         net = init_network(spec, seed + attempt)
-        x = 2.0 * rng.standard_normal((1, t_steps, spec.input_size))
-        labels = rng.integers(0, spec.layers[-1].size, size=1)
-        report = grad_check(net, x, labels, mode="relu_exact")
-        if report.kink_margin > margin:
-            return net, x, labels, report
+        x = 2.0 * rng.standard_normal((batch, t_steps, spec.input_size))
+        labels = rng.integers(0, spec.layers[-1].size, size=batch)
+        # the margin is checked first to spare finite differences on rejects
+        if _kink_margin(net, forward_any(net, x, soft=True)) > margin:
+            return net, x, labels, grad_check(net, x, labels, mode="relu_exact", h=h)
     raise AssertionError("could not find a kink-free sample")
 
 
@@ -73,6 +95,26 @@ def test_finite_differences_validate_relu_backward():
     for seed in range(3):
         net, x, labels, report = sample_case(relu_spec(seed), seed)
         assert report.checked > 0
+        worst = max(worst, report.max_rel_err)
+    assert worst < 1e-4
+
+
+@pytest.mark.parametrize("hidden", ["relu", "alif"])
+def test_finite_differences_validate_bidirectional_backward(hidden):
+    # Two samples put the backward stack's input in batch-major,
+    # time-reversed layout; 34 steps cross a block of the reverse sweep.
+    # Their summed loss is ~75 nats, whose rounding noise over a 1e-5 probe
+    # (~1e-9) nears the bound on the smallest scored entries; a 1e-4 probe
+    # keeps well inside the 1e-3 kink margin.
+    worst = 0.0
+    for seed in range(2):
+        net, x, labels, report = sample_case(
+            bidirectional_spec(seed, hidden), seed, t_steps=34, batch=2, h=1e-4)
+        assert isinstance(net, BidirectionalNetwork)
+        families = ("w_in", "w_rec", "bias", "tau_m") + \
+            (("tau_adp",) if hidden == "alif" else ())
+        for name in families:
+            assert report.families[name].checked > 0
         worst = max(worst, report.max_rel_err)
     assert worst < 1e-4
 
@@ -124,6 +166,41 @@ def test_tape_handles_soft_mode_too():
             if ref is None:
                 continue
             np.testing.assert_allclose(al.arrays()[name], ref, atol=1e-10)
+
+
+@pytest.mark.parametrize("soft", [False, True])
+def test_tape_agrees_across_blocks_of_the_reverse_sweep(soft):
+    # 70 steps span several time blocks of the vectorized sweep, and every
+    # neuron kind carries its adjoints across the block boundaries
+    spec = NetworkSpec(
+        input_size=3,
+        layers=[LayerSpec(size=4, neuron="lif", recurrent=True,
+                          tau_m_init=(3.0, 0.5), theta=0.3),
+                LayerSpec(size=4, neuron="relu", recurrent=True,
+                          tau_m_init=(3.0, 0.5)),
+                LayerSpec(size=4, neuron="alif", recurrent=True,
+                          tau_m_init=(3.0, 0.5), tau_adp_init=(12.0, 2.0),
+                          b_0=0.2, beta=0.3),
+                LayerSpec(size=3, neuron="readout", recurrent=True,
+                          tau_m_init=(5.0, 1.0))],
+        decode="membrane_softmax",
+        seed=0,
+    )
+    net = init_network(spec, 6)
+    rng = np.random.default_rng(12)
+    t_steps = 70
+    x = 2.0 * rng.standard_normal((2, t_steps, 3))
+    step_labels = rng.integers(0, 3, size=(2, t_steps))
+    surrogate = MultiGaussian()
+    _, tape_set = tape_gradients(net, x, step_labels, surrogate, soft=soft)
+    trace = forward_sequence(net, x, soft=soft)
+    analytic = backward(net, trace, step_labels, surrogate)
+    for tl, al in zip(tape_set.layers, analytic.layers):
+        for name, ref in tl.arrays().items():
+            if ref is None:
+                continue
+            assert np.abs(ref).max() > 0.0
+            np.testing.assert_allclose(al.arrays()[name], ref, rtol=1e-9, atol=1e-10)
 
 
 def test_streaming_labels_are_checked_too():

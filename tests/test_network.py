@@ -330,6 +330,19 @@ def test_load_rejects_unknown_format(tmp_path):
         load_model(path)
 
 
+def test_load_names_the_missing_key(tmp_path):
+    path = tmp_path / "bare.json"
+    path.write_text(json.dumps({"format": "srnn-model/1"}))
+    with pytest.raises(ValueError, match="'spec'"):
+        load_model(path)
+    save_model(init_network(small_spec(), seed=19), path)
+    doc = json.loads(path.read_text())
+    del doc["layers"][1]["w_in"]
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match="'w_in'"):
+        load_model(path)
+
+
 def test_forward_input_validation():
     net = init_network(small_spec(), seed=18)
     with pytest.raises(ValueError):

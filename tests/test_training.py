@@ -132,6 +132,61 @@ def test_batch_gradients_are_sums_over_samples():
             np.testing.assert_allclose(arr, want, atol=1e-10)
 
 
+ALIF = dict(neuron="alif", tau_m_init=(4.0, 1.0), tau_adp_init=(30.0, 4.0),
+            b_0=0.05, beta=0.1)
+LIF = dict(neuron="lif", tau_m_init=(4.0, 1.0), theta=0.05)
+RELU = dict(neuron="relu", tau_m_init=(6.0, 1.0))
+READOUT = dict(neuron="readout", tau_m_init=(6.0, 1.0))
+
+# Every neuron kind appears in each stack, recurrent and not; sequence
+# labels for both decoders plus per-step labels for the streaming loss.
+ADDITIVITY_CASES = {
+    "spike_count": ([LayerSpec(size=7, recurrent=True, **ALIF),
+                     LayerSpec(size=6, recurrent=True, **RELU),
+                     LayerSpec(size=5, **READOUT),
+                     LayerSpec(size=3, recurrent=True, **LIF)], False),
+    "membrane_softmax": ([LayerSpec(size=7, recurrent=True, **LIF),
+                          LayerSpec(size=6, **RELU),
+                          LayerSpec(size=5, recurrent=True, **ALIF),
+                          LayerSpec(size=3, recurrent=True, **READOUT)], False),
+    "nll_streaming": ([LayerSpec(size=7, recurrent=True, **RELU),
+                       LayerSpec(size=6, **LIF),
+                       LayerSpec(size=5, recurrent=True, **ALIF),
+                       LayerSpec(size=3, **READOUT)], True),
+}
+
+
+@pytest.mark.parametrize("soft", [False, True])
+@pytest.mark.parametrize("case", sorted(ADDITIVITY_CASES))
+def test_batch_backward_is_the_sum_of_single_sample_backwards(case, soft):
+    # a reshape or transpose that mixes the batch axis breaks additivity;
+    # 40 steps cross a block boundary of the reverse sweep
+    layers, per_step = ADDITIVITY_CASES[case]
+    decode = "membrane_softmax" if case == "nll_streaming" else case
+    net = init_network(NetworkSpec(input_size=4, layers=layers, decode=decode,
+                                   seed=0), seed=13)
+    rng = np.random.default_rng(14)
+    batch, t_steps = 5, 40
+    x = rng.normal(0.0, 1.5, size=(batch, t_steps, 4))
+    labels = rng.integers(0, 3, size=(batch, t_steps) if per_step else batch)
+    surrogate = MultiGaussian()
+    joint = backward(net, forward_sequence(net, x, soft=soft), labels, surrogate)
+    total = zero_grads(net)
+    for b in range(batch):
+        total.add_(backward(net, forward_sequence(net, x[b:b + 1], soft=soft),
+                            labels[b:b + 1], surrogate))
+    assert abs(joint.loss - total.loss) <= 1e-12 * abs(total.loss)
+    assert joint.correct == total.correct
+    for i, (mine, want) in enumerate(zip(joint.layers, total.layers)):
+        for name, ref in want.arrays().items():
+            if ref is None:
+                continue
+            scale = float(np.abs(ref).max())
+            assert scale > 0.0, f"layer {i} {name}: no gradient reached it"
+            err = float(np.abs(mine.arrays()[name] - ref).max())
+            assert err <= 1e-12 * scale, f"layer {i} {name}: rel err {err / scale:.2e}"
+
+
 def test_frozen_time_constants_get_zero_gradients():
     net = init_network(small_spec(), seed=3)
     x = np.random.default_rng(4).normal(0.0, 1.5, size=(2, 10, 4))
@@ -245,6 +300,23 @@ def test_fit_raises_on_divergence():
     with pytest.raises(FloatingPointError):
         with np.errstate(all="ignore"):
             fit(spec, data, cfg)
+
+
+def test_fit_stops_at_the_first_non_finite_parameter(monkeypatch):
+    import srnn.training as training
+
+    real_backward = training.backward
+
+    def poisoned(*args, **kwargs):
+        grads = real_backward(*args, **kwargs)
+        grads.layers[0].tau_adp[0] = np.nan
+        return grads
+
+    monkeypatch.setattr(training, "backward", poisoned)
+    # the first Adam step spoils tau_adp; the epoch's mean loss would only
+    # show it one step later and could not name the family
+    with pytest.raises(FloatingPointError, match=r"epoch 0: tau_adp of layer 0"):
+        fit(small_spec(), toy_data(), TrainingConfig(epochs=2, minibatch=8, seed=0))
 
 
 def test_fit_frozen_tau_stays_at_init():
