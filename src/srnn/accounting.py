@@ -24,7 +24,6 @@ from srnn.network import (
     BidirectionalTrace,
     ForwardTrace,
     Network,
-    dynamics_kind,
 )
 
 MAC_ENERGY_PJ = 3.1
@@ -87,7 +86,7 @@ class ArchDescription:
             layers = list(net.layers)
         entries = []
         for layer in layers:
-            kind = dynamics_kind(layer.spec.neuron)
+            kind = layer.spec.neuron
             if kind == "relu":
                 kind = "vanilla_rnn" if layer.w_rec is not None else "dense"
             entries.append(ArchEntry(kind=kind, fan_in=layer.fan_in,

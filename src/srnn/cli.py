@@ -28,8 +28,10 @@ from srnn.accounting import (
 from srnn.codecs import anytime_csv_text, anytime_curve, encode_dataset
 from srnn.datasets import gen_pattern_classification, gen_streaming_waveform, \
     load_dataset, save_dataset, split
-from srnn.gradcheck import grad_check
+from srnn.gradcheck import CHECK_MODES, grad_check
 from srnn.network import (
+    DECODE_MODES,
+    NEURON_KINDS,
     LayerSpec,
     Network,
     NetworkSpec,
@@ -38,8 +40,9 @@ from srnn.network import (
     load_model,
     save_model,
 )
-from srnn.surrogates import surrogate_from_dict
+from srnn.surrogates import SURROGATE_KINDS, surrogate_from_dict
 from srnn.training import (
+    LOSS_KINDS,
     LinearToZero,
     StepDecay,
     TrainingConfig,
@@ -64,7 +67,7 @@ _LAYER_SCHEMA = {
     "required": ["size"],
     "properties": {
         "size": _INT,
-        "neuron": {"enum": ["lif", "alif", "relu", "readout", "spiking_output"]},
+        "neuron": {"enum": list(NEURON_KINDS)},
         "recurrent": _BOOL,
         "tau_m_init": _PAIR,
         "tau_adp_init": {"anyOf": [_PAIR, {"type": "null"}]},
@@ -80,8 +83,7 @@ _NETWORK_SCHEMA = {
     "properties": {
         "input_size": _INT,
         "layers": {"type": "array", "items": _LAYER_SCHEMA, "minItems": 1},
-        "decode": {"enum": ["spike_count", "membrane_softmax",
-                            "spiking_membrane_softmax"]},
+        "decode": {"enum": list(DECODE_MODES)},
         "bidirectional": _BOOL,
         "seed": _INT,
         "zero_init_membrane": _BOOL,
@@ -93,7 +95,7 @@ _SURROGATE_SCHEMA = {
     "additionalProperties": False,
     "required": ["kind"],
     "properties": {
-        "kind": {"enum": ["multi_gaussian", "gaussian", "linear", "slayer"]},
+        "kind": {"enum": list(SURROGATE_KINDS)},
         "h": _NUM, "s": _NUM, "sigma": _NUM, "alpha": _NUM,
     },
 }
@@ -119,7 +121,7 @@ _TRAINING_SCHEMA = {
         "epochs": _INT, "lr": _NUM, "minibatch": _INT,
         "surrogate": _SURROGATE_SCHEMA,
         "schedule": _SCHEDULE_SCHEMA,
-        "loss": {"enum": ["ce", "nll_streaming"]},
+        "loss": {"enum": list(LOSS_KINDS)},
         "seed": _INT,
         "train_tau_m": _BOOL, "train_tau_adp": _BOOL,
         "chunk_size": _INT, "shuffle": _BOOL,
@@ -166,7 +168,7 @@ _CHECK_SCHEMA = {
     "additionalProperties": False,
     "properties": {
         "modes": {"type": "array",
-                  "items": {"enum": ["relu_exact", "surrogate_consistency"]},
+                  "items": {"enum": list(CHECK_MODES)},
                   "minItems": 1},
         "tol_rel": _NUM, "tol_abs": _NUM,
         "t_steps": _INT, "batch": _INT, "seed": _INT,
@@ -362,12 +364,23 @@ def _load_model_file(path):
         raise UsageError(f"bad model file: {e}") from None
 
 
-def cmd_eval(args) -> int:
-    net = _load_model_file(args.model)
+def _load_data_for(net, path):
+    """Load a dataset directory and check its width against the model's input."""
     try:
-        data = load_dataset(args.data)
+        data = load_dataset(path)
     except FileNotFoundError as e:
         raise UsageError(f"dataset not found: {e.filename}") from None
+    except ValueError as e:
+        raise UsageError(f"bad dataset: {e}") from None
+    if data.channels != net.spec.input_size:
+        raise UsageError(f"model expects {net.spec.input_size} input channels "
+                         f"but the dataset has {data.channels}")
+    return data
+
+
+def cmd_eval(args) -> int:
+    net = _load_model_file(args.model)
+    data = _load_data_for(net, args.data)
     rep = evaluate(net, data)
     line = (f"samples {rep.n_samples}  accuracy {rep.accuracy:.4f}  "
             f"loss {rep.loss:.4f}  firing rate {rep.firing_rate:.4f}")
@@ -398,10 +411,7 @@ def cmd_energy(args) -> int:
         net = _load_model_file(args.model)
         arch = ArchDescription.from_network(net)
         if args.data:
-            try:
-                data = load_dataset(args.data)
-            except FileNotFoundError as e:
-                raise UsageError(f"dataset not found: {e.filename}") from None
+            data = _load_data_for(net, args.data)
             if not isinstance(net, Network):
                 raise UsageError("firing-rate measurement needs a plain stack")
             trace = forward_sequence(net, data.inputs)

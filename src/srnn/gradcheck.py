@@ -32,7 +32,6 @@ from srnn.network import (
     BidirectionalTrace,
     Network,
     _as_time_batch,
-    dynamics_kind,
     forward_sequence,
 )
 from srnn.surrogates import MultiGaussian, SurrogateKind, surrogate_grad
@@ -156,7 +155,7 @@ def _tape_step(tape: Tape, layer, params: dict, state: dict, below,
                surrogate, soft: bool):
     """Advance one layer one step on the tape; mutates state in place."""
     s = layer.spec
-    kind = dynamics_kind(s.neuron)
+    kind = s.neuron
     n = layer.size
     y_out = []
     for j in range(n):
@@ -219,7 +218,7 @@ def _tape_step(tape: Tape, layer, params: dict, state: dict, below,
 
 def _init_tape_state(tape: Tape, layer, params: dict) -> dict:
     s = layer.spec
-    kind = dynamics_kind(s.neuron)
+    kind = s.neuron
     n = layer.size
     state = {
         "u": [tape.leaf(layer.u_init[j]) for j in range(n)],
@@ -367,8 +366,7 @@ def _flat_traces(trace) -> list:
 
 
 def _soft_loss(net, trace, targets) -> float:
-    head = trace.head if isinstance(trace, BidirectionalTrace) else trace.layers[-1]
-    loss, _, _, _, _ = _loss_and_seeds(net.spec.decode, head, targets)
+    loss, _, _, _, _ = _loss_and_seeds(net.spec.decode, trace.head, targets)
     return loss
 
 
@@ -376,12 +374,12 @@ def _kink_margin(net, trace) -> float:
     """Distance from every unit-step state to its nearest nonlinearity kink."""
     margin = math.inf
     for layer, lt in zip(flat_layers(net), _flat_traces(trace)):
-        kind = dynamics_kind(lt.neuron)
-        if kind == "alif":
-            margin = min(margin, float(np.min(np.abs(lt.u - lt.theta))))
-        elif kind == "lif":
-            margin = min(margin, float(np.min(np.abs(lt.u - layer.spec.theta))))
-        elif kind == "relu":
+        s = layer.spec
+        if lt.neuron == "alif":
+            margin = min(margin, float(np.min(np.abs(lt.u - (s.b_0 + s.beta * lt.eta)))))
+        elif lt.neuron == "lif":
+            margin = min(margin, float(np.min(np.abs(lt.u - s.theta))))
+        elif lt.neuron == "relu":
             margin = min(margin, float(np.min(np.abs(lt.u))))
     return margin
 

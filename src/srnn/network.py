@@ -3,9 +3,22 @@
 A network is a stack of layers; at step t layer l receives the step-t
 output of layer l-1 (the input vector for layer 1, injected as current)
 plus, if the layer is recurrent, its own output from step t-1 through a
-square recurrent matrix. Forward passes record a complete per-layer trace
-(drive, membrane, output, and the adaptation variables) which the trainer
-consumes.
+square recurrent matrix. Forward passes record a per-layer trace (drive,
+membrane, output, and the adaptation variable) which the trainer consumes.
+
+All four neuron kinds run one leaky membrane recursion (see `cell`),
+
+    u_t = decay * held_t + gain * pre_t  [- theta_{t-1} * y_{t-1}]
+
+    kind     decay            reset                  output y_t
+    alif     exp(-dt/tau_m)   threshold decrement    H(u - theta)
+    lif      1 - dt/tau_m     to u_r after a spike   H(u - theta)
+    relu     exp(-dt/tau_m)   none                   max(0, u)
+    readout  1 - dt/tau_m     none                   u
+
+with gain = r_m * (1 - decay). Adaptive layers also carry
+eta_t = rho * eta_{t-1} + (1 - rho) * y_{t-1} and fire against
+theta_t = b_0 + beta * eta_t; the trace records eta, not theta.
 
 Layers may also run in a "soft" evaluation mode where the spike
 nonlinearity H(u - theta) is replaced by max(0, u - theta) and the reset
@@ -24,14 +37,9 @@ import numpy as np
 
 MODEL_FORMAT = "srnn-model/1"
 
-NEURON_KINDS = ("lif", "alif", "relu", "readout", "spiking_output")
-SPIKING_KINDS = ("lif", "alif", "spiking_output")
+NEURON_KINDS = ("lif", "alif", "relu", "readout")
+SPIKING_KINDS = ("lif", "alif")
 DECODE_MODES = ("spike_count", "membrane_softmax", "spiking_membrane_softmax")
-
-
-def dynamics_kind(neuron: str) -> str:
-    """Collapse the spiking-output alias onto the adaptive dynamics."""
-    return "alif" if neuron == "spiking_output" else neuron
 
 
 @dataclass
@@ -55,7 +63,7 @@ class LayerSpec:
             raise ValueError("size must be at least 1")
         if self.tau_m_init[0] <= 0 or self.tau_m_init[1] < 0:
             raise ValueError("tau_m_init needs positive mean and non-negative std")
-        if dynamics_kind(self.neuron) == "alif" and self.tau_adp_init is None:
+        if self.neuron == "alif" and self.tau_adp_init is None:
             self.tau_adp_init = (150.0, 10.0)
         if self.tau_adp_init is not None:
             if self.tau_adp_init[0] <= 0 or self.tau_adp_init[1] < 0:
@@ -87,7 +95,7 @@ class NetworkSpec:
             raise ValueError("spike_count decoding needs a spiking output layer")
         if self.decode == "membrane_softmax" and last != "readout":
             raise ValueError("membrane_softmax decoding needs a readout output layer")
-        if self.decode == "spiking_membrane_softmax" and dynamics_kind(last) != "alif":
+        if self.decode == "spiking_membrane_softmax" and last != "alif":
             raise ValueError("spiking_membrane_softmax needs an adaptive spiking output layer")
         if self.bidirectional:
             if last != "readout":
@@ -155,13 +163,12 @@ def _init_layer(rng: np.random.Generator, spec: LayerSpec, fan_in: int,
     lo, hi = spec.dt, 1e4 * spec.dt
     tau_m = np.clip(rng.normal(*spec.tau_m_init, size=spec.size), lo, hi)
     tau_adp = None
-    if dynamics_kind(spec.neuron) == "alif":
+    if spec.neuron == "alif":
         tau_adp = np.clip(rng.normal(*spec.tau_adp_init, size=spec.size), lo, hi)
-    kind = dynamics_kind(spec.neuron)
-    if zero_init_membrane or kind in ("relu", "readout"):
+    if zero_init_membrane or spec.neuron not in SPIKING_KINDS:
         u_init = np.zeros(spec.size)
     else:
-        resting_theta = spec.theta if kind == "lif" else spec.b_0
+        resting_theta = spec.theta if spec.neuron == "lif" else spec.b_0
         u_init = rng.uniform(0.0, resting_theta, size=spec.size)
     return Layer(spec=spec, w_in=w_in, w_rec=w_rec, bias=bias,
                  tau_m=tau_m, tau_adp=tau_adp, u_init=u_init)
@@ -213,15 +220,14 @@ class LayerTrace:
     pre: np.ndarray                  # (T, B, n) drive into the units
     u: np.ndarray                    # (T, B, n) membrane after the update
     y: np.ndarray                    # (T, B, n) emitted output
-    eta: Optional[np.ndarray]        # (T, B, n) adaptation variable
-    theta: Optional[np.ndarray]      # (T, B, n) threshold in force at each step
+    eta: Optional[np.ndarray]        # (T, B, n) adaptation; theta = b_0 + beta*eta
     u_init: np.ndarray               # (B, n)
     y_init: np.ndarray               # (B, n)
     eta_init: Optional[np.ndarray]   # (B, n)
 
     @property
     def spiking(self) -> bool:
-        return dynamics_kind(self.neuron) in ("lif", "alif")
+        return self.neuron in SPIKING_KINDS
 
 
 @dataclass
@@ -239,8 +245,8 @@ class ForwardTrace:
         return self.inputs.shape[1]
 
     @property
-    def outputs(self) -> np.ndarray:
-        return self.layers[-1].y
+    def head(self) -> LayerTrace:
+        return self.layers[-1]
 
 
 @dataclass
@@ -271,45 +277,63 @@ def init_state(net: Network, batch: int) -> list[LayerState]:
     return states
 
 
-def _step_layer(layer: Layer, st: LayerState, inp: np.ndarray, soft: bool):
-    """Advance one layer one step. Returns (state', y, pre, theta_or_None)."""
+_EXP_DECAY_KINDS = ("alif", "relu")
+
+
+@dataclass(slots=True)
+class Cell:
+    """Coefficients of one layer's membrane recursion, fixed over a sequence."""
+
+    kind: str
+    decay: np.ndarray                # (n,) d u_t / d held_t
+    gain: np.ndarray                 # (n,) d u_t / d pre_t
+    rho: Optional[np.ndarray]        # (n,) eta retention on adaptive layers
+
+
+def cell(layer: Layer) -> Cell:
+    """The layer's recursion coefficients (see the module docstring)."""
+    s = layer.spec
+    if s.neuron in _EXP_DECAY_KINDS:
+        decay = np.exp(-s.dt / layer.tau_m)
+        gain = (1.0 - decay) * s.r_m
+    else:
+        decay = 1.0 - s.dt / layer.tau_m
+        gain = s.r_m * s.dt / layer.tau_m
+    rho = None if layer.tau_adp is None else np.exp(-s.dt / layer.tau_adp)
+    return Cell(s.neuron, decay, gain, rho)
+
+
+def decay_tau_grad(layer: Layer, decay: np.ndarray) -> np.ndarray:
+    """d decay / d tau_m of the layer's integrator; gain moves as -r_m times it."""
+    s = layer.spec
+    if s.neuron in _EXP_DECAY_KINDS:
+        return decay * s.dt / layer.tau_m ** 2
+    return s.dt / layer.tau_m ** 2
+
+
+def _step_layer(layer: Layer, c: Cell, st: LayerState, inp: np.ndarray,
+                soft: bool):
+    """Advance one layer one step. Returns (state', pre)."""
     s = layer.spec
     pre = inp @ layer.w_in + layer.bias
     if layer.w_rec is not None:
         pre = pre + st.y @ layer.w_rec
-    kind = dynamics_kind(s.neuron)
-    if kind == "alif":
-        alpha = np.exp(-s.dt / layer.tau_m)
-        rho = np.exp(-s.dt / layer.tau_adp)
-        theta_prev = s.b_0 + s.beta * st.eta
-        u = alpha * st.u + (1.0 - alpha) * s.r_m * pre - theta_prev * st.y
-        eta = rho * st.eta + (1.0 - rho) * st.y
+    held = st.u * (1.0 - st.y) + s.u_r * st.y if c.kind == "lif" else st.u
+    u = c.decay * held + c.gain * pre
+    eta, theta = None, s.theta
+    if c.rho is not None:
+        u -= (s.b_0 + s.beta * st.eta) * st.y
+        eta = c.rho * st.eta + (1.0 - c.rho) * st.y
         theta = s.b_0 + s.beta * eta
-        if soft:
-            y = np.maximum(0.0, u - theta)
-        else:
-            y = np.where(u >= theta, 1.0, 0.0)
-        return LayerState(u=u, y=y, eta=eta), y, pre, theta
-    if kind == "lif":
-        leak = 1.0 - s.dt / layer.tau_m
-        gain = s.r_m * s.dt / layer.tau_m
-        held = st.u * (1.0 - st.y) + s.u_r * st.y
-        u = held * leak + gain * pre
-        if soft:
-            y = np.maximum(0.0, u - s.theta)
-        else:
-            y = np.where(u >= s.theta, 1.0, 0.0)
-        return LayerState(u=u, y=y, eta=None), y, pre, None
-    if kind == "relu":
-        alpha = np.exp(-s.dt / layer.tau_m)
-        u = alpha * st.u + (1.0 - alpha) * s.r_m * pre
+    if c.kind == "readout":
+        y = u
+    elif c.kind == "relu":
         y = np.maximum(0.0, u)
-        return LayerState(u=u, y=y, eta=None), y, pre, None
-    # readout: exposed membrane is the output and the recurrence signal
-    leak = 1.0 - s.dt / layer.tau_m
-    gain = s.r_m * s.dt / layer.tau_m
-    u = st.u * leak + gain * pre
-    return LayerState(u=u, y=u, eta=None), u, pre, None
+    elif soft:
+        y = np.maximum(0.0, u - theta)
+    else:
+        y = np.where(u >= theta, 1.0, 0.0)
+    return LayerState(u=u, y=y, eta=eta), pre
 
 
 def forward_step(net: Network, x_t: np.ndarray, states: list[LayerState],
@@ -320,10 +344,10 @@ def forward_step(net: Network, x_t: np.ndarray, states: list[LayerState],
     inp = x_t[None, :] if squeeze else x_t
     new_states, outputs = [], []
     for layer, st in zip(net.layers, states):
-        st, y, _, _ = _step_layer(layer, st, inp, soft)
+        st, _ = _step_layer(layer, cell(layer), st, inp, soft)
         new_states.append(st)
-        outputs.append(y[0] if squeeze else y)
-        inp = y
+        outputs.append(st.y[0] if squeeze else st.y)
+        inp = st.y
     return new_states, outputs
 
 
@@ -351,24 +375,23 @@ def _run_layers(layers: list[Layer], x_tbn: np.ndarray, soft: bool) -> list[Laye
             u=np.empty((t_steps, batch, layer.size)),
             y=np.empty((t_steps, batch, layer.size)),
             eta=np.empty((t_steps, batch, layer.size)) if adaptive else None,
-            theta=np.empty((t_steps, batch, layer.size)) if adaptive else None,
             u_init=u0,
             y_init=np.zeros((batch, layer.size)),
             eta_init=np.zeros((batch, layer.size)) if adaptive else None,
         ))
+    cells = [cell(layer) for layer in layers]
     for t in range(t_steps):
         inp = x_tbn[t]
-        for i, layer in enumerate(layers):
-            st, y, pre, theta = _step_layer(layer, states[i], inp, soft)
+        for i, (layer, c) in enumerate(zip(layers, cells)):
+            st, pre = _step_layer(layer, c, states[i], inp, soft)
             states[i] = st
             tr = traces[i]
             tr.pre[t] = pre
             tr.u[t] = st.u
-            tr.y[t] = y
+            tr.y[t] = st.y
             if tr.eta is not None:
                 tr.eta[t] = st.eta
-                tr.theta[t] = theta
-            inp = y
+            inp = st.y
     return traces
 
 
@@ -487,11 +510,41 @@ def save_model(net, path) -> None:
         f.write("\n")
 
 
+def _check_stack(layers: list[Layer], specs: list[LayerSpec], fan_in: int,
+                 name: str) -> None:
+    """Raise ValueError naming the layer and field that contradict the spec."""
+    if len(layers) != len(specs):
+        raise ValueError(f"{name} holds {len(layers)} layers, the spec {len(specs)}")
+    for i, (layer, spec) in enumerate(zip(layers, specs)):
+        where, n = f"{name}[{i}]", spec.size
+        if layer.spec != spec:
+            raise ValueError(f"{where}.spec differs from the network spec")
+        shapes = {"w_in": (fan_in, n), "w_rec": (n, n) if spec.recurrent else None,
+                  "bias": (n,), "tau_m": (n,),
+                  "tau_adp": (n,) if spec.neuron == "alif" else None, "u_init": (n,)}
+        arrays = dict(layer.param_arrays(), u_init=layer.u_init)
+        for field, shape in shapes.items():
+            a = arrays[field]
+            got = None if a is None else a.shape
+            if got != shape:
+                want, have = ("null" if v is None else f"shape {v}" for v in (shape, got))
+                raise ValueError(f"{where}.{field}: expected {want}, got {have}")
+            if a is None:
+                continue
+            if not np.isfinite(a).all():
+                raise ValueError(f"{where}.{field}: not finite")
+            if field.startswith("tau") and (a < spec.dt).any():
+                raise ValueError(f"{where}.{field}: below dt = {spec.dt}")
+        fan_in = n
+
+
 def load_model(path):
     """Read a JSON model file written by save_model.
 
-    A file that is not a well-formed model raises ValueError; a missing
-    entry is named by its key.
+    A file that is not a well-formed model raises ValueError: a missing
+    entry is named by its key, and an array that contradicts the spec (its
+    shape, presence, finiteness, or a time constant below dt) by its layer
+    and field.
     """
     with open(path) as f:
         doc = json.load(f)
@@ -501,12 +554,16 @@ def load_model(path):
         raise ValueError(f"unsupported model format: {doc.get('format')!r}")
     try:
         spec = _spec_from_dict(doc["spec"])
-        if "layers" in doc:
-            return Network(spec=spec, layers=[_layer_from_dict(d) for d in doc["layers"]])
+        if not spec.bidirectional:
+            net = Network(spec=spec, layers=[_layer_from_dict(d) for d in doc["layers"]])
+            _check_stack(net.layers, spec.layers, spec.input_size, "layers")
+            return net
         fwd = Network(spec=spec, layers=[_layer_from_dict(d) for d in doc["forward_layers"]])
         bwd = Network(spec=spec, layers=[_layer_from_dict(d) for d in doc["backward_layers"]])
     except KeyError as e:
         raise ValueError(f"model file lacks key {e.args[0]!r}") from None
     except (TypeError, AttributeError) as e:
         raise ValueError(f"malformed model file: {e}") from None
+    _check_stack(fwd.layers, spec.layers, spec.input_size, "forward_layers")
+    _check_stack(bwd.layers, spec.layers[:-1], spec.input_size, "backward_layers")
     return BidirectionalNetwork(spec=spec, forward_net=fwd, backward_net=bwd)

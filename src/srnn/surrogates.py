@@ -76,6 +76,10 @@ class SLayer:
 
 SurrogateKind = Union[MultiGaussian, Gaussian, Linear, SLayer]
 
+# Config name of each surrogate class, both ways through one map.
+SURROGATE_KINDS = {"multi_gaussian": MultiGaussian, "gaussian": Gaussian,
+                   "linear": Linear, "slayer": SLayer}
+
 
 def mg_grad(u, theta, h: float = 0.15, s: float = 6.0, sigma: float = 0.5):
     x = np.asarray(u, dtype=float) - theta
@@ -116,18 +120,15 @@ def surrogate_grad(kind: SurrogateKind, u, theta):
 
 
 def surrogate_to_dict(kind: SurrogateKind) -> dict:
-    names = {MultiGaussian: "multi_gaussian", Gaussian: "gaussian",
-             Linear: "linear", SLayer: "slayer"}
+    names = {cls: name for name, cls in SURROGATE_KINDS.items()}
     d = {"kind": names[type(kind)]}
     d.update(kind.__dict__)
     return d
 
 
 def surrogate_from_dict(d: dict) -> SurrogateKind:
-    classes = {"multi_gaussian": MultiGaussian, "gaussian": Gaussian,
-               "linear": Linear, "slayer": SLayer}
     d = dict(d)
     name = d.pop("kind")
-    if name not in classes:
+    if name not in SURROGATE_KINDS:
         raise ValueError(f"unknown surrogate kind: {name!r}")
-    return classes[name](**d)
+    return SURROGATE_KINDS[name](**d)

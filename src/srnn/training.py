@@ -2,28 +2,32 @@
 
 The backward pass walks each layer's recorded trace from the last step to
 the first, carrying adjoints for the membrane and (on adaptive layers) the
-adaptation variable. At every spike the configured surrogate stands in for
+adaptation variable. One sweep serves every neuron kind: the kind enters
+only through its partials (see `_block_partials`) and, on adaptive
+layers, the eta chain, whose threshold b_0 + beta*eta is derived from
+the recorded eta. At every spike the configured surrogate stands in for
 the derivative of the threshold test, so the membrane and adaptation
 chains stay differentiable while the spikes themselves remain binary. The
 two explicitly non-differentiable pathways, the post-spike reset factor
 and the threshold decrement, are held constant during the sweep. Time
-constants receive gradients through their decay coefficients:
+constants receive gradients through their decay coefficients, which the
+gain r_m*(1 - decay) follows:
 
-    d alpha / d tau_m  = alpha * dt / tau_m^2
-    d rho  / d tau_adp = rho  * dt / tau_adp^2
+    d u_t / d tau_m    = (held_t - r_m * pre_t) * d decay / d tau_m
+    d rho  / d tau_adp = rho * dt / tau_adp^2
 
 In the soft evaluation mode (see srnn.network) nothing is detached and
 the spike derivative is exact, which is what the finite-difference
 checker relies on.
 
-Only the adjoint recursion itself runs step by step. Factors that depend
-on the recorded trace alone (surrogate values, step masks, reset gains)
-are evaluated for a block of steps at once, and the time-constant sums
-are reduced once per block. Weight gradients are each a single GEMM over
-time x batch: (T*B, fan_in)^T @ (T*B, n) for the input weights and the
-same over the shifted outputs for the recurrent weights. The gradient
-passed to the layer below is one flat GEMM, and the network input's own
-gradient, which nothing consumes, is never formed.
+Only the adjoint recursion itself runs step by step. The partials depend
+on the recorded trace alone and are evaluated for a block of steps at
+once, and the time-constant sums are reduced once per block. Weight
+gradients are each a single GEMM over time x batch: (T*B, fan_in)^T @
+(T*B, n) for the input weights and the same over the shifted outputs for
+the recurrent weights. The gradient passed to the layer below is one flat
+GEMM, and the network input's own gradient, which nothing consumes, is
+never formed.
 
 Gradients returned by `backward` are sums over the batch axis; `fit`
 divides by the minibatch size so the update uses the mean. Minibatches
@@ -43,12 +47,13 @@ import numpy as np
 from srnn.network import (
     BidirectionalNetwork,
     BidirectionalTrace,
-    ForwardTrace,
+    Cell,
     Layer,
     LayerTrace,
     Network,
     NetworkSpec,
-    dynamics_kind,
+    cell,
+    decay_tau_grad,
     forward_bidirectional,
     forward_sequence,
     init_network,
@@ -219,6 +224,31 @@ def _sum_outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a.reshape(-1, a.shape[2]).T @ b.reshape(-1, b.shape[2])
 
 
+def _block_partials(layer: Layer, c: Cell, tr: LayerTrace, t0: int, t1: int,
+                    surrogate: SurrogateKind, soft: bool):
+    """The kind's partials over steps [t0, t1): (carry, slope, dy_next).
+
+    carry = d u_{t+1} / d u_t, an (n,) vector unless a reset to rest makes
+    it step-dependent; slope = d y_t / d u_t, None for the readout (y = u);
+    dy_next = d u_{t+1} / d y_t of the reset, None unless soft.
+    """
+    s = layer.spec
+    u = tr.u[t0:t1]
+    if c.kind == "readout":
+        return c.decay, None, None
+    if c.kind == "relu":
+        return c.decay, (u > 0).astype(float), None
+    theta = s.theta if c.rho is None else s.b_0 + s.beta * tr.eta[t0:t1]
+    if soft:
+        slope = (u >= theta).astype(float)
+    else:
+        slope = surrogate_grad(surrogate, u, theta)
+    if c.kind == "lif":
+        reset = c.decay * (s.u_r - u) if soft else None
+        return c.decay * (1.0 - tr.y[t0:t1]), slope, reset
+    return c.decay, slope, -theta if soft else None
+
+
 def _layer_backward(layer: Layer, tr: LayerTrace, below_y: np.ndarray,
                     g_ext: Optional[np.ndarray], g_direct: Optional[np.ndarray],
                     surrogate: SurrogateKind, soft: bool,
@@ -228,123 +258,65 @@ def _layer_backward(layer: Layer, tr: LayerTrace, below_y: np.ndarray,
 
     g_below is None when need_g_below is false. During the sweep `dpre`
     holds the membrane adjoint lam_u; it becomes the drive adjoint
-    d loss / d pre = lam_u * to_pre in one pass afterwards, so the
-    recurrent path applies to_pre through `w_back` instead.
+    d loss / d pre = lam_u * gain in one pass afterwards, so the
+    recurrent path applies gain through `w_back` instead.
     """
     s = layer.spec
-    kind = dynamics_kind(s.neuron)
+    c = cell(layer)
     t_steps, batch, n = tr.u.shape
     last = t_steps - 1
     dpre = np.empty((t_steps, batch, n))
     lam_u_next = np.zeros((batch, n))
-    d_tau_m = np.zeros(n)
-    d_tau_adp = np.zeros(n) if layer.tau_adp is not None else None
-    if kind in ("alif", "relu"):
-        alpha = np.exp(-s.dt / layer.tau_m)
-        to_pre = (1.0 - alpha) * s.r_m
-    elif kind in ("lif", "readout"):
-        leak = 1.0 - s.dt / layer.tau_m
-        to_pre = s.r_m * s.dt / layer.tau_m
-    else:
-        raise ValueError(f"no backward rule for layer kind {kind!r}")
-    w_back = to_pre[:, None] * layer.w_rec.T if layer.w_rec is not None else None
     no_ext = np.zeros((batch, n))
-
-    if kind == "alif":
-        rho = np.exp(-s.dt / layer.tau_adp)
-        eta_gain = 1.0 - rho
+    w_back = c.gain[:, None] * layer.w_rec.T if layer.w_rec is not None else None
+    acc_tau_m = np.zeros(n)
+    adaptive = c.rho is not None
+    if adaptive:
+        eta_gain = 1.0 - c.rho
         lam_eta = np.empty((min(_BLOCK_STEPS, t_steps), batch, n))
         lam_eta_next = np.zeros((batch, n))
-        acc_alpha = np.zeros(n)
-        acc_rho = np.zeros(n)
-        for t0, t1 in _blocks(t_steps):
-            theta = tr.theta[t0:t1]
-            if soft:
-                g = (tr.u[t0:t1] >= theta).astype(float)
-            else:
-                g = surrogate_grad(surrogate, tr.u[t0:t1], theta)
-            for t in range(t1 - 1, t0 - 1, -1):
-                k = t - t0
-                gy = eta_gain * lam_eta_next
-                if g_ext is not None:
-                    gy += g_ext[t]
-                if w_back is not None and t < last:
-                    gy += lam_u_next @ w_back
-                if soft:
-                    gy -= theta[k] * lam_u_next
-                q = g[k] * gy                      # = -lam_theta in hard mode
-                lam_u = np.multiply(alpha, lam_u_next, out=dpre[t])
-                lam_u += q
-                if g_direct is not None:
-                    lam_u += g_direct[t]
-                if soft:
-                    q += tr.y[t] * lam_u_next
-                np.multiply(rho, lam_eta_next, out=lam_eta[k])
+        acc_tau_adp = np.zeros(n)
+
+    for t0, t1 in _blocks(t_steps):
+        carry, slope, dy_next = _block_partials(layer, c, tr, t0, t1, surrogate, soft)
+        for t in range(t1 - 1, t0 - 1, -1):
+            k = t - t0
+            gy = no_ext if g_ext is None else g_ext[t]
+            if w_back is not None and t < last:
+                gy = gy + lam_u_next @ w_back
+            if adaptive:
+                gy = gy + eta_gain * lam_eta_next
+            if dy_next is not None:
+                gy = gy + dy_next[k] * lam_u_next
+            q = gy if slope is None else slope[k] * gy
+            lam_u = np.multiply(carry if carry.ndim == 1 else carry[k],
+                                lam_u_next, out=dpre[t])
+            lam_u += q
+            if g_direct is not None:
+                lam_u += g_direct[t]
+            if adaptive:
+                if soft:                       # theta_t also scales the reset at t+1
+                    q = q + tr.y[t] * lam_u_next
+                np.multiply(c.rho, lam_eta_next, out=lam_eta[k])
                 lam_eta[k] -= s.beta * q
-                lam_u_next, lam_eta_next = lam_u, lam_eta[k]
-            lam_eta_next = lam_eta_next.copy()     # the buffer is reused
-            drive = _prev(tr.u, tr.u_init, t0, t1) - s.r_m * tr.pre[t0:t1]
-            acc_alpha += np.einsum("tbn,tbn->n", dpre[t0:t1], drive)
-            adapt = _prev(tr.eta, tr.eta_init, t0, t1) - _prev(tr.y, tr.y_init, t0, t1)
-            acc_rho += np.einsum("tbn,tbn->n", lam_eta[:t1 - t0], adapt)
-        if train_tau_m:
-            d_tau_m = acc_alpha * (alpha * s.dt / layer.tau_m ** 2)
-        if train_tau_adp:
-            d_tau_adp = acc_rho * (rho * s.dt / layer.tau_adp ** 2)
-
-    elif kind == "lif":
-        acc_tau = np.zeros(n)
-        for t0, t1 in _blocks(t_steps):
-            u = tr.u[t0:t1]
-            if soft:
-                g = (u >= s.theta).astype(float)
-                reset = leak * (s.u_r - u)
-            else:
-                g = surrogate_grad(surrogate, u, s.theta)
-            carry = leak * (1.0 - tr.y[t0:t1])
-            for t in range(t1 - 1, t0 - 1, -1):
-                k = t - t0
-                gy = no_ext if g_ext is None else g_ext[t]
-                if w_back is not None and t < last:
-                    gy = gy + lam_u_next @ w_back
-                if soft:
-                    gy = gy + reset[k] * lam_u_next
-                lam_u = np.multiply(carry[k], lam_u_next, out=dpre[t])
-                lam_u += g[k] * gy
-                if g_direct is not None:
-                    lam_u += g_direct[t]
-                lam_u_next = lam_u
-            u_prev = _prev(tr.u, tr.u_init, t0, t1)
+                lam_eta_next = lam_eta[k]
+            lam_u_next = lam_u
+        held = _prev(tr.u, tr.u_init, t0, t1)
+        if c.kind == "lif":
             y_prev = _prev(tr.y, tr.y_init, t0, t1)
-            held = u_prev * (1.0 - y_prev) + s.u_r * y_prev
-            acc_tau += np.einsum("tbn,tbn->n", dpre[t0:t1], held - s.r_m * tr.pre[t0:t1])
-        if train_tau_m:
-            d_tau_m = acc_tau * (s.dt / layer.tau_m ** 2)
+            held = held * (1.0 - y_prev) + s.u_r * y_prev
+        acc_tau_m += np.einsum("tbn,tbn->n", dpre[t0:t1], held - s.r_m * tr.pre[t0:t1])
+        if adaptive:
+            adapt = _prev(tr.eta, tr.eta_init, t0, t1) - _prev(tr.y, tr.y_init, t0, t1)
+            acc_tau_adp += np.einsum("tbn,tbn->n", lam_eta[:t1 - t0], adapt)
 
-    else:
-        # relu: lam_u = (u > 0) * gy + alpha * lam_u_next
-        # readout: lam_u = gy + leak * lam_u_next
-        decay = alpha if kind == "relu" else leak
-        acc = np.zeros(n)
-        for t0, t1 in _blocks(t_steps):
-            g = (tr.u[t0:t1] > 0).astype(float) if kind == "relu" else None
-            for t in range(t1 - 1, t0 - 1, -1):
-                gy = no_ext if g_ext is None else g_ext[t]
-                if w_back is not None and t < last:
-                    gy = gy + lam_u_next @ w_back
-                lam_u = np.multiply(decay, lam_u_next, out=dpre[t])
-                lam_u += gy if g is None else g[t - t0] * gy
-                if g_direct is not None:
-                    lam_u += g_direct[t]
-                lam_u_next = lam_u
-            drive = _prev(tr.u, tr.u_init, t0, t1) - s.r_m * tr.pre[t0:t1]
-            acc += np.einsum("tbn,tbn->n", dpre[t0:t1], drive)
-        if train_tau_m:
-            scale = alpha * s.dt / layer.tau_m ** 2 if kind == "relu" \
-                else s.dt / layer.tau_m ** 2
-            d_tau_m = acc * scale
+    d_tau_m = acc_tau_m * decay_tau_grad(layer, c.decay) if train_tau_m else np.zeros(n)
+    d_tau_adp = None
+    if adaptive:
+        d_tau_adp = acc_tau_adp * (c.rho * s.dt / layer.tau_adp ** 2) \
+            if train_tau_adp else np.zeros(n)
 
-    dpre *= to_pre
+    dpre *= c.gain
     w_rec = None
     if layer.w_rec is not None:
         w_rec = tr.y_init.T @ dpre[0] + _sum_outer(tr.y[:-1], dpre[1:])
@@ -450,7 +422,7 @@ def backward(net, trace, targets, surrogate: SurrogateKind,
         return GradientSet(layers=layers, loss=loss, correct=correct,
                            total_preds=total)
 
-    loss, g_ext, g_dir, correct, total = _loss_and_seeds(decode, trace.layers[-1], targets)
+    loss, g_ext, g_dir, correct, total = _loss_and_seeds(decode, trace.head, targets)
     grads = _stack_backward(net.layers, trace.layers, trace.inputs, g_ext, g_dir,
                                surrogate, trace.soft, train_tau_m, train_tau_adp)
     return GradientSet(layers=grads, loss=loss, correct=correct, total_preds=total)
@@ -482,10 +454,9 @@ def step_probs(trace, decode: str) -> np.ndarray:
 
     Spike counting uses the running cumulative count up to each step.
     """
-    last = trace.head if isinstance(trace, BidirectionalTrace) else trace.layers[-1]
     if decode == "spike_count":
-        return _softmax(np.cumsum(last.y, axis=0))
-    return _softmax(last.u)
+        return _softmax(np.cumsum(trace.head.y, axis=0))
+    return _softmax(trace.head.u)
 
 
 @dataclass
@@ -699,8 +670,7 @@ def evaluate(net, data, chunk_size: int = 64) -> EvalReport:
     for start in range(0, n, chunk_size):
         sl = slice(start, min(start + chunk_size, n))
         trace = forward_any(net, inputs[sl])
-        last = trace.head if isinstance(trace, BidirectionalTrace) else trace.layers[-1]
-        loss, _, _, c, tp = _loss_and_seeds(decode, last, labels[sl])
+        loss, _, _, c, tp = _loss_and_seeds(decode, trace.head, labels[sl])
         loss_sum += loss
         correct += c
         total += tp

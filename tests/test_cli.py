@@ -1,10 +1,12 @@
 """End-to-end tests for the command-line interface."""
 
 import json
+import math
 
 import pytest
 
 from srnn.cli import main
+from srnn.network import LayerSpec, NetworkSpec, init_network, save_model
 
 
 def write_config(path, doc):
@@ -111,6 +113,12 @@ def test_train_usage_errors(tmp_path, capsys):
     assert main(["train", "--config", unknown_key]) == 2
     assert "schema violation" in capsys.readouterr().err
 
+    aliased = write_config(tmp_path / "alias.json", {
+        "network": {"input_size": 3,
+                    "layers": [{"size": 4, "neuron": "spiking_output"}]}})
+    assert main(["train", "--config", aliased]) == 2
+    assert "schema violation at network/layers/0/neuron" in capsys.readouterr().err
+
     cfg = pattern_config(tmp_path, out_name="nosec")
     doc = json.loads((tmp_path / "nosec.json").read_text())
     del doc["training"]
@@ -125,6 +133,24 @@ def test_train_channel_mismatch(tmp_path, capsys):
     cfg = pattern_config(tmp_path, out_name="mis", task=task)
     assert main(["train", "--config", cfg]) == 2
     assert "input channels" in capsys.readouterr().err
+
+
+def test_eval_and_energy_channel_mismatch(tmp_path, capsys):
+    save_model(init_network(NetworkSpec(input_size=3, layers=[
+        LayerSpec(size=4, neuron="alif", recurrent=True)])), tmp_path / "m.json")
+    task = {"kind": "pattern_classification", "n_classes": 2, "t_steps": 8,
+            "channels": 5, "jitter_std": 0.5, "seed": 1, "n_samples": 20}
+    cfg = pattern_config(tmp_path, out_name="wide", task=task)
+    assert main(["gen", "--config", cfg, "--out", str(tmp_path / "wide")]) == 0
+    data = str(tmp_path / "wide" / "test")
+    model = str(tmp_path / "m.json")
+    for argv in (["eval", "--model", model, "--data", data],
+                 ["energy", "--model", model, "--data", data]):
+        capsys.readouterr()
+        assert main(argv) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and "expects 3 input channels" in err[0], err
+        assert "has 5" in err[0]
 
 
 def test_streaming_train_and_eval(tmp_path, capsys):
@@ -239,10 +265,34 @@ def test_malformed_model_files_exit_2(tmp_path, capsys):
     layerless = {"format": "srnn-model/1", "spec": {
         "input_size": 3, "decode": "membrane_softmax", "bidirectional": False,
         "seed": 0, "zero_init_membrane": False, "layers": []}}
+    save_model(init_network(NetworkSpec(input_size=3, layers=[
+        LayerSpec(size=4, neuron="alif", recurrent=True),
+        LayerSpec(size=2, neuron="alif")])), tmp_path / "good.json")
+    good = json.loads((tmp_path / "good.json").read_text())
+
+    def edited(*edits):
+        doc = json.loads(json.dumps(good))
+        for i, field, value in edits:
+            doc["layers"][i][field] = value
+        return json.dumps(doc)
+
+    aliased = json.loads(json.dumps(good))
+    aliased["spec"]["layers"][1]["neuron"] = "spiking_output"
     cases = {
         "bare.json": (json.dumps({"format": "srnn-model/1"}), "'spec'"),
         "truncated.json": ('{"format": "srnn-model/1", "spec": {', "Expecting"),
         "layerless.json": (json.dumps(layerless), "at least one layer"),
+        "negative_tau.json": (edited((0, "tau_m", [-5.0, 20.0, 20.0, 20.0])),
+                              "layers[0].tau_m: below dt"),
+        "tiny_w_in.json": (edited((0, "w_in", [[1.0]])),
+                           "layers[0].w_in: expected shape (3, 4), got shape (1, 1)"),
+        "nan_tau.json": (edited((0, "tau_m", [math.nan] * 4)),
+                         "layers[0].tau_m: not finite"),
+        "below_dt.json": (edited((1, "tau_adp", [0.5, 150.0])),
+                          "layers[1].tau_adp: below dt"),
+        "stray_w_rec.json": (edited((1, "w_rec", [[0.0] * 2] * 2)),
+                             "layers[1].w_rec: expected null"),
+        "alias.json": (json.dumps(aliased), "neuron must be one of"),
     }
     for name, (text, why) in cases.items():
         path = tmp_path / name

@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -18,6 +19,16 @@ from srnn.network import (
     init_state,
     load_model,
     save_model,
+)
+from srnn.neurons import (
+    AlifParams,
+    AlifState,
+    LifParams,
+    LifState,
+    alif_step,
+    lif_step,
+    readout_step,
+    relu_step,
 )
 
 
@@ -217,16 +228,59 @@ def test_readout_follows_pure_leaky_filter():
         np.testing.assert_allclose(trace.layers[0].u[t, 0], u, atol=1e-12)
 
 
-def test_spiking_output_alias_matches_adaptive_unit():
-    a = small_spec()
-    b = small_spec()
-    b.layers[-1].neuron = "spiking_output"
-    net_a = init_network(a, seed=12)
-    net_b = init_network(b, seed=12)
-    x = np.random.default_rng(6).normal(size=(15, 3))
-    ta = forward_sequence(net_a, x)
-    tb = forward_sequence(net_b, x)
-    np.testing.assert_array_equal(ta.layers[-1].y, tb.layers[-1].y)
+def _neuron_step(layer, state, drive):
+    """One step of the layer's kind through srnn.neurons: (state', y, u)."""
+    s = layer.spec
+    if s.neuron == "alif":
+        p = AlifParams(tau_m=layer.tau_m, tau_adp=layer.tau_adp, b_0=s.b_0,
+                       beta=s.beta, r_m=s.r_m, dt=s.dt)
+        state, y = alif_step(state, drive, p)
+        return state, y, state.u
+    p = LifParams(tau_m=layer.tau_m, r_m=s.r_m, u_r=s.u_r, theta=s.theta, dt=s.dt)
+    if s.neuron == "lif":
+        state, y = lif_step(state, drive, p)
+    elif s.neuron == "relu":
+        state, y = relu_step(state, drive, p)
+    else:
+        state = readout_step(state, drive, p)
+        y = state.u
+    return state, y, state.u
+
+
+@pytest.mark.parametrize("recurrent", [False, True])
+@pytest.mark.parametrize("kind", ["lif", "alif", "relu", "readout"])
+def test_forward_matches_neuron_step_oracle(kind, recurrent):
+    # the network's shared recursion against a time loop over the
+    # closed-form single-step functions, with the drive formed here
+    batch, t_steps, n = 3, 40, 5
+    spec = NetworkSpec(
+        input_size=4,
+        layers=[LayerSpec(size=n, neuron=kind, recurrent=recurrent,
+                          tau_m_init=(4.0, 1.0), theta=0.3, u_r=-0.1,
+                          b_0=0.2, beta=0.5, r_m=1.3),
+                LayerSpec(size=2, neuron="readout")],
+        decode="membrane_softmax", seed=0)
+    net = init_network(spec, seed=21)
+    layer = net.layers[0]
+    x = 1.5 * np.random.default_rng(12).normal(size=(batch, t_steps, 4))
+    trace = forward_sequence(net, x).layers[0]
+
+    u0 = np.broadcast_to(layer.u_init, (batch, n))
+    y = np.zeros((batch, n))
+    state = (AlifState(u=u0, eta=np.zeros((batch, n)), s_prev=y) if kind == "alif"
+             else LifState(u=u0, s_prev=y))
+    for t in range(t_steps):
+        drive = x[:, t] @ layer.w_in + layer.bias
+        if recurrent:
+            drive = drive + y @ layer.w_rec
+        state, y, u = _neuron_step(layer, state, drive)
+        np.testing.assert_allclose(trace.u[t], u, rtol=0, atol=1e-12)
+        if kind in ("lif", "alif"):
+            np.testing.assert_array_equal(trace.y[t], y)
+        else:
+            np.testing.assert_allclose(trace.y[t], y, rtol=0, atol=1e-12)
+    if kind in ("lif", "alif"):
+        assert 0.0 < trace.y.mean() < 1.0   # spikes and resets were exercised
 
 
 def bidi_spec(**kw):
@@ -343,6 +397,43 @@ def test_load_names_the_missing_key(tmp_path):
         load_model(path)
 
 
+def test_load_rejects_arrays_that_contradict_the_spec(tmp_path):
+    path = tmp_path / "model.json"
+    save_model(init_network(small_spec(), seed=20), path)
+    plain = json.loads(path.read_text())
+    save_model(init_network(bidi_spec(), seed=20), path)
+    bidi = json.loads(path.read_text())
+
+    def edit(doc, key, i, field, value):
+        doc = json.loads(json.dumps(doc))
+        doc[key][i][field] = value
+        return doc
+
+    cases = [
+        (edit(plain, "layers", 0, "tau_m", [-5.0] * 5), "layers[0].tau_m: below dt"),
+        (edit(plain, "layers", 1, "tau_adp", [math.nan] * 4),
+         "layers[1].tau_adp: not finite"),
+        (edit(plain, "layers", 0, "w_in", [[1.0]]),
+         "layers[0].w_in: expected shape (3, 5), got shape (1, 1)"),
+        (edit(plain, "layers", 1, "w_in", [[0.0] * 4] * 3),
+         "layers[1].w_in: expected shape (5, 4), got shape (3, 4)"),
+        (edit(plain, "layers", 1, "w_rec", [[0.0] * 4] * 4),
+         "layers[1].w_rec: expected null, got shape (4, 4)"),
+        (edit(plain, "layers", 0, "tau_adp", None), "layers[0].tau_adp: expected shape"),
+        (edit(plain, "layers", 0, "u_init", [0.0]), "layers[0].u_init: expected"),
+        (edit(bidi, "forward_layers", 1, "w_in", [[0.0] * 4] * 3),
+         "forward_layers[1].w_in: expected shape (5, 4)"),
+        (edit(bidi, "backward_layers", 0, "bias", [0.0] * 2), "backward_layers[0].bias"),
+    ]
+    short = json.loads(json.dumps(plain))
+    del short["layers"][1]
+    cases.append((short, "layers holds 1 layers, the spec 2"))
+    for doc, why in cases:
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=re.escape(why)):
+            load_model(path)
+
+
 def test_forward_input_validation():
     net = init_network(small_spec(), seed=18)
     with pytest.raises(ValueError):
@@ -360,6 +451,9 @@ def test_spec_validation():
         LayerSpec(size=0)
     with pytest.raises(ValueError):
         LayerSpec(size=3, neuron="izhikevich")
+    with pytest.raises(ValueError):
+        # the former alias of the adaptive unit is no longer a kind
+        LayerSpec(size=3, neuron="spiking_output")
     with pytest.raises(ValueError):
         LayerSpec(size=3, tau_m_init=(0.0, 1.0))
     with pytest.raises(ValueError):
