@@ -20,6 +20,24 @@ with gain = r_m * (1 - decay). Adaptive layers also carry
 eta_t = rho * eta_{t-1} + (1 - rho) * y_{t-1} and fire against
 theta_t = b_0 + beta * eta_t; the trace records eta, not theta.
 
+A sequence runs layer-major: each layer runs over all T steps before
+the next starts, writing u, y and eta straight into its trace. Where the
+drive pre_t = x_t @ w_in + bias [+ y_{t-1} @ w_rec] comes from depends
+on the kind:
+
+    lif, alif      x @ w_in for all steps at once (one T-row GEMM per
+                   sample), written into the trace; only the recurrent
+                   term is added inside the time loop
+    relu, readout  x_t @ w_in + bias step by step, as forward_step does
+
+The reason is the online contract: forward_step at batch 1 must give
+exactly the outputs of forward_sequence. At batch 1 BLAS computes the
+per-step product as a GEMV, whose sums differ in the last bits from a
+GEMM over many rows. A spike H(u - theta) absorbs that difference; a
+relu or readout output is the membrane and would carry it. Readout heads
+are a few units wide, so their per-step drive costs little. Soft mode
+has no such contract and hoists every layer's projection.
+
 Layers may also run in a "soft" evaluation mode where the spike
 nonlinearity H(u - theta) is replaced by max(0, u - theta) and the reset
 pathways act on that continuous output. Nothing in soft mode is
@@ -288,6 +306,7 @@ class Cell:
     decay: np.ndarray                # (n,) d u_t / d held_t
     gain: np.ndarray                 # (n,) d u_t / d pre_t
     rho: Optional[np.ndarray]        # (n,) eta retention on adaptive layers
+    eta_gain: Optional[np.ndarray]   # (n,) 1 - rho, d eta_t / d y_{t-1}
 
 
 def cell(layer: Layer) -> Cell:
@@ -299,8 +318,10 @@ def cell(layer: Layer) -> Cell:
     else:
         decay = 1.0 - s.dt / layer.tau_m
         gain = s.r_m * s.dt / layer.tau_m
-    rho = None if layer.tau_adp is None else np.exp(-s.dt / layer.tau_adp)
-    return Cell(s.neuron, decay, gain, rho)
+    if layer.tau_adp is None:
+        return Cell(s.neuron, decay, gain, None, None)
+    rho = np.exp(-s.dt / layer.tau_adp)
+    return Cell(s.neuron, decay, gain, rho, 1.0 - rho)
 
 
 def decay_tau_grad(layer: Layer, decay: np.ndarray) -> np.ndarray:
@@ -311,29 +332,45 @@ def decay_tau_grad(layer: Layer, decay: np.ndarray) -> np.ndarray:
     return s.dt / layer.tau_m ** 2
 
 
-def _step_layer(layer: Layer, c: Cell, st: LayerState, inp: np.ndarray,
-                soft: bool):
-    """Advance one layer one step. Returns (state', pre)."""
+def _step_layer(layer: Layer, c: Cell, pre: np.ndarray, prev: tuple,
+                soft: bool, out: tuple = (None, None, None)) -> tuple:
+    """Advance one layer one step. Returns the new (u, y, eta).
+
+    `pre` holds the step's feed-forward drive; the recurrent term
+    y_{t-1} @ w_rec is added to it in place. `prev` is the (u, y, eta) the
+    step starts from. The new state is written into the arrays of `out`
+    (rows of a trace), or into fresh arrays where `out` holds None.
+    """
     s = layer.spec
-    pre = inp @ layer.w_in + layer.bias
+    u0, y0, eta0 = prev
+    u, y, eta = out
     if layer.w_rec is not None:
-        pre = pre + st.y @ layer.w_rec
-    held = st.u * (1.0 - st.y) + s.u_r * st.y if c.kind == "lif" else st.u
-    u = c.decay * held + c.gain * pre
-    eta, theta = None, s.theta
+        pre += y0 @ layer.w_rec
+    held = u0 * (1.0 - y0) + s.u_r * y0 if c.kind == "lif" else u0
+    u = np.multiply(c.decay, held, out=u)
+    u += c.gain * pre
+    theta = s.theta
     if c.rho is not None:
-        u -= (s.b_0 + s.beta * st.eta) * st.y
-        eta = c.rho * st.eta + (1.0 - c.rho) * st.y
-        theta = s.b_0 + s.beta * eta
+        kick = s.beta * eta0
+        kick += s.b_0
+        kick *= y0
+        u -= kick
+        eta = np.multiply(c.rho, eta0, out=eta)
+        eta += c.eta_gain * y0
+        theta = s.beta * eta
+        theta += s.b_0
     if c.kind == "readout":
-        y = u
+        if y is None:
+            y = u
+        else:
+            y[...] = u
     elif c.kind == "relu":
-        y = np.maximum(0.0, u)
+        y = np.maximum(0.0, u, out=y)
     elif soft:
-        y = np.maximum(0.0, u - theta)
+        y = np.maximum(0.0, np.subtract(u, theta, out=y), out=y)
     else:
-        y = np.where(u >= theta, 1.0, 0.0)
-    return LayerState(u=u, y=y, eta=eta), pre
+        y = np.greater_equal(u, theta, out=np.empty_like(u) if y is None else y)
+    return u, y, eta
 
 
 def forward_step(net: Network, x_t: np.ndarray, states: list[LayerState],
@@ -344,10 +381,12 @@ def forward_step(net: Network, x_t: np.ndarray, states: list[LayerState],
     inp = x_t[None, :] if squeeze else x_t
     new_states, outputs = [], []
     for layer, st in zip(net.layers, states):
-        st, _ = _step_layer(layer, cell(layer), st, inp, soft)
-        new_states.append(st)
-        outputs.append(st.y[0] if squeeze else st.y)
-        inp = st.y
+        pre = inp @ layer.w_in
+        pre += layer.bias
+        u, y, eta = _step_layer(layer, cell(layer), pre, (st.u, st.y, st.eta), soft)
+        new_states.append(LayerState(u=u, y=y, eta=eta))
+        outputs.append(y[0] if squeeze else y)
+        inp = y
     return new_states, outputs
 
 
@@ -360,38 +399,68 @@ def _as_time_batch(x: np.ndarray) -> np.ndarray:
     raise ValueError("input must be (T, N) or (B, T, N)")
 
 
+def _checked_input(x, width: int) -> np.ndarray:
+    x_tbn = _as_time_batch(x)
+    if x_tbn.shape[2] != width:
+        raise ValueError(f"expected {width} input channels, got {x_tbn.shape[2]}")
+    if not np.all(np.isfinite(x_tbn)):
+        raise ValueError("input contains non-finite values")
+    return x_tbn
+
+
+def _project(inp: np.ndarray, w: np.ndarray, out: np.ndarray) -> None:
+    """out[t] = inp[t] @ w for every step t, as one T-row GEMM per sample.
+
+    Both arrays are read through their (B, T, .) transposes, which BLAS
+    reads and writes in place for either memory order: the network input
+    is the swapped axes of a (B, T, N) array, a deeper layer's input the
+    time-major y of the layer below. A time-reversed view is flipped
+    first, together with `out`. (With OpenBLAS, a single GEMM over all
+    T*B rows of a time-major input is no faster and left up to 21 MiB
+    more memory resident at T=250, B=64, n=256.)
+    """
+    if inp.strides[0] < 0:
+        inp, out = inp[::-1], out[::-1]
+    np.matmul(inp.transpose(1, 0, 2), w, out=out.transpose(1, 0, 2))
+
+
+def _new_trace(layer: Layer, t_steps: int, batch: int) -> LayerTrace:
+    shape = (t_steps, batch, layer.size)
+    adaptive = layer.tau_adp is not None
+    return LayerTrace(
+        neuron=layer.spec.neuron,
+        pre=np.empty(shape), u=np.empty(shape), y=np.empty(shape),
+        eta=np.empty(shape) if adaptive else None,
+        u_init=np.broadcast_to(layer.u_init, shape[1:]).astype(float),
+        y_init=np.zeros(shape[1:]),
+        eta_init=np.zeros(shape[1:]) if adaptive else None,
+    )
+
+
 def _run_layers(layers: list[Layer], x_tbn: np.ndarray, soft: bool) -> list[LayerTrace]:
-    t_steps, batch = x_tbn.shape[0], x_tbn.shape[1]
-    traces = []
-    states = []
+    """Run the stack layer by layer over the whole sequence; one trace each.
+
+    Spiking layers (every layer in soft mode) take their feed-forward drive
+    for all steps from `_project`; the others form it step by step, as
+    `forward_step` does (see the module docstring).
+    """
+    traces, inp = [], x_tbn
     for layer in layers:
-        u0 = np.broadcast_to(layer.u_init, (batch, layer.size)).astype(float).copy()
-        eta0 = np.zeros((batch, layer.size)) if layer.tau_adp is not None else None
-        states.append(LayerState(u=u0.copy(), y=np.zeros((batch, layer.size)), eta=eta0))
-        adaptive = layer.tau_adp is not None
-        traces.append(LayerTrace(
-            neuron=layer.spec.neuron,
-            pre=np.empty((t_steps, batch, layer.size)),
-            u=np.empty((t_steps, batch, layer.size)),
-            y=np.empty((t_steps, batch, layer.size)),
-            eta=np.empty((t_steps, batch, layer.size)) if adaptive else None,
-            u_init=u0,
-            y_init=np.zeros((batch, layer.size)),
-            eta_init=np.zeros((batch, layer.size)) if adaptive else None,
-        ))
-    cells = [cell(layer) for layer in layers]
-    for t in range(t_steps):
-        inp = x_tbn[t]
-        for i, (layer, c) in enumerate(zip(layers, cells)):
-            st, pre = _step_layer(layer, c, states[i], inp, soft)
-            states[i] = st
-            tr = traces[i]
-            tr.pre[t] = pre
-            tr.u[t] = st.u
-            tr.y[t] = st.y
-            if tr.eta is not None:
-                tr.eta[t] = st.eta
-            inp = st.y
+        c = cell(layer)
+        tr = _new_trace(layer, *inp.shape[:2])
+        hoisted = soft or c.kind in SPIKING_KINDS
+        if hoisted:
+            _project(inp, layer.w_in, tr.pre)
+            tr.pre += layer.bias
+        prev = (tr.u_init, tr.y_init, tr.eta_init)
+        for t, pre in enumerate(tr.pre):
+            if not hoisted:
+                np.matmul(inp[t], layer.w_in, out=pre)
+                pre += layer.bias
+            out = (tr.u[t], tr.y[t], None if tr.eta is None else tr.eta[t])
+            prev = _step_layer(layer, c, pre, prev, soft, out)
+        traces.append(tr)
+        inp = tr.y
     return traces
 
 
@@ -401,12 +470,7 @@ def forward_sequence(net: Network, x, soft: bool = False) -> ForwardTrace:
     Accepts (T, N) for one sequence or (B, T, N) for a batch; the trace is
     always time-major with an explicit batch axis.
     """
-    x_tbn = _as_time_batch(x)
-    if x_tbn.shape[2] != net.spec.input_size:
-        raise ValueError(f"expected {net.spec.input_size} input channels, "
-                         f"got {x_tbn.shape[2]}")
-    if not np.all(np.isfinite(x_tbn)):
-        raise ValueError("input contains non-finite values")
+    x_tbn = _checked_input(x, net.spec.input_size)
     traces = _run_layers(net.layers, x_tbn, soft=soft)
     return ForwardTrace(inputs=x_tbn, layers=traces, soft=soft)
 
@@ -430,10 +494,10 @@ def forward_bidirectional(net_f: Network, net_b: Network, x,
         raise ValueError("both directions need at least one hidden layer")
     if stack_f[-1].size != stack_b[-1].size:
         raise ValueError("directional stacks must end in the same width")
+    if stack_f[0].fan_in != stack_b[0].fan_in:
+        raise ValueError("directional stacks must read the same input width")
 
-    x_tbn = _as_time_batch(x)
-    if not np.all(np.isfinite(x_tbn)):
-        raise ValueError("input contains non-finite values")
+    x_tbn = _checked_input(x, stack_f[0].fan_in)
     fwd = _run_layers(stack_f, x_tbn, soft=soft)
     bwd = _run_layers(stack_b, x_tbn[::-1], soft=soft)
     merged = 0.5 * (fwd[-1].y + bwd[-1].y[::-1])

@@ -17,9 +17,19 @@ import numpy as np
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 
-def _normal_pdf(x, mu, sigma):
-    z = (np.asarray(x, dtype=float) - mu) / sigma
-    return np.exp(-0.5 * z * z) / (sigma * _SQRT_2PI)
+def _scaled_pdf(x: np.ndarray, mu: float, sigma: float, scale: float,
+                out: np.ndarray) -> np.ndarray:
+    """scale * N(x | mu, sigma^2), evaluated in place in `out`."""
+    if mu:
+        np.subtract(x, mu, out=out)
+        x = out
+    np.divide(x, sigma, out=out)
+    out *= out
+    out *= -0.5
+    np.exp(out, out=out)
+    out /= sigma * _SQRT_2PI
+    out *= scale
+    return out
 
 
 @dataclass(frozen=True)
@@ -82,15 +92,17 @@ SURROGATE_KINDS = {"multi_gaussian": MultiGaussian, "gaussian": Gaussian,
 
 
 def mg_grad(u, theta, h: float = 0.15, s: float = 6.0, sigma: float = 0.5):
-    x = np.asarray(u, dtype=float) - theta
-    out = (1.0 + h) * _normal_pdf(x, 0.0, sigma) \
-        - h * _normal_pdf(x, sigma, s * sigma) \
-        - h * _normal_pdf(x, -sigma, s * sigma)
+    x = np.asarray(np.asarray(u, dtype=float) - theta)
+    out = _scaled_pdf(x, 0.0, sigma, 1.0 + h, np.empty_like(x))
+    flank = np.empty_like(x)
+    out -= _scaled_pdf(x, sigma, s * sigma, h, flank)
+    out -= _scaled_pdf(x, -sigma, s * sigma, h, flank)
     return float(out) if out.ndim == 0 else out
 
 
 def gaussian_grad(u, theta, sigma: float = 0.5):
-    out = _normal_pdf(np.asarray(u, dtype=float) - theta, 0.0, sigma)
+    x = np.asarray(np.asarray(u, dtype=float) - theta)
+    out = _scaled_pdf(x, 0.0, sigma, 1.0, x)
     return float(out) if out.ndim == 0 else out
 
 

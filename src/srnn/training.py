@@ -272,7 +272,6 @@ def _layer_backward(layer: Layer, tr: LayerTrace, below_y: np.ndarray,
     acc_tau_m = np.zeros(n)
     adaptive = c.rho is not None
     if adaptive:
-        eta_gain = 1.0 - c.rho
         lam_eta = np.empty((min(_BLOCK_STEPS, t_steps), batch, n))
         lam_eta_next = np.zeros((batch, n))
         acc_tau_adp = np.zeros(n)
@@ -285,7 +284,7 @@ def _layer_backward(layer: Layer, tr: LayerTrace, below_y: np.ndarray,
             if w_back is not None and t < last:
                 gy = gy + lam_u_next @ w_back
             if adaptive:
-                gy = gy + eta_gain * lam_eta_next
+                gy = gy + c.eta_gain * lam_eta_next
             if dy_next is not None:
                 gy = gy + dy_next[k] * lam_u_next
             q = gy if slope is None else slope[k] * gy

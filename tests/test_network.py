@@ -3,6 +3,7 @@
 import json
 import math
 import re
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -30,6 +31,7 @@ from srnn.neurons import (
     readout_step,
     relu_step,
 )
+from srnn.training import evaluate, forward_any
 
 
 def small_spec(**kw):
@@ -186,6 +188,105 @@ def test_trace_matches_stepwise_replay():
         states, outs = forward_step(net, x[t][None, :], states)
         for lt, y in zip(trace.layers, outs):
             np.testing.assert_array_equal(lt.y[t], y)
+
+
+def _stack(decode, *layers):
+    return NetworkSpec(input_size=3, layers=list(layers), decode=decode, seed=0)
+
+
+STEP_STACKS = {
+    "membrane_softmax": _stack(
+        "membrane_softmax",
+        LayerSpec(size=6, neuron="alif", recurrent=True, tau_m_init=(6.0, 1.0),
+                  b_0=0.3, beta=0.5),
+        LayerSpec(size=5, neuron="lif", tau_m_init=(6.0, 1.0), theta=0.3),
+        LayerSpec(size=8, neuron="relu", recurrent=True),
+        LayerSpec(size=3, neuron="readout")),
+    "spike_count": _stack(
+        "spike_count",
+        LayerSpec(size=6, neuron="relu"),
+        LayerSpec(size=5, neuron="lif", recurrent=True, tau_m_init=(6.0, 1.0),
+                  theta=0.3),
+        LayerSpec(size=4, neuron="alif", tau_m_init=(6.0, 1.0), b_0=0.3, beta=0.5)),
+}
+
+
+def _driven_net(stack, seed):
+    net = init_network(STEP_STACKS[stack], seed=seed)
+    for layer in net.layers:
+        layer.w_in *= 3.0                   # so that every spiking layer fires
+    return net
+
+
+@pytest.mark.parametrize("stack", sorted(STEP_STACKS))
+def test_forward_step_equals_forward_sequence_at_batch_one(stack):
+    # the online contract: streaming one sample step by step reproduces the
+    # sequence trace's outputs bit for bit, membranes included where the
+    # output is one (relu, readout)
+    net = _driven_net(stack, seed=31)
+    x = np.random.default_rng(13).normal(size=(48, 3))
+    trace = forward_sequence(net, x)
+    states = init_state(net, batch=1)
+    for t in range(48):
+        states, outs = forward_step(net, x[t], states)
+        for lt, y in zip(trace.layers, outs):
+            np.testing.assert_array_equal(lt.y[t, 0], y)
+    for lt in trace.layers:
+        if lt.spiking:
+            assert 0.0 < lt.y.mean() < 1.0   # spikes and resets were exercised
+
+
+def _assert_traces_close(got, want, batch=slice(None)):
+    """Spike trains equal, every other trace array within 1e-12."""
+    for field in ("pre", "u", "y", "eta"):
+        a, b = getattr(got, field), getattr(want, field)
+        if b is None:
+            assert a is None
+        elif field == "y" and want.spiking:
+            np.testing.assert_array_equal(a, b[:, batch])
+        else:
+            np.testing.assert_allclose(a, b[:, batch], rtol=0, atol=1e-12)
+
+
+def _batch_layouts(x):
+    """The same (B, T, N) batch in batch-major and in time-major memory."""
+    return x, np.swapaxes(np.ascontiguousarray(np.swapaxes(x, 0, 1)), 0, 1)
+
+
+def test_input_layouts_give_the_same_trace():
+    # the network input is projected in its own layout: a (B, T, N) batch
+    # in either memory order, a (T, N) sequence in either memory order and
+    # a one-sample batch all agree with the matching slice of the batch
+    net = _driven_net("membrane_softmax", seed=32)
+    x, x_time_major = _batch_layouts(np.random.default_rng(14).normal(size=(4, 30, 3)))
+    batched = forward_sequence(net, x)
+    for lb, lt in zip(batched.layers, forward_sequence(net, x_time_major).layers):
+        _assert_traces_close(lt, lb)
+    for b in range(4):
+        for xb in (x[b], np.asfortranarray(x[b]), x[b:b + 1]):
+            for lb, ls in zip(batched.layers, forward_sequence(net, xb).layers):
+                _assert_traces_close(ls, lb, batch=slice(b, b + 1))
+
+
+@pytest.mark.parametrize("layout", ["sequence", "batch", "time_major_batch"])
+def test_bidirectional_backward_stack_reads_reversed_time(layout):
+    # the backward stack projects a time-reversed view of the input; it
+    # must match a plain forward pass over a reversed copy
+    spec = bidi_spec(layers=[
+        LayerSpec(size=5, neuron="alif", recurrent=True, tau_m_init=(6.0, 1.0),
+                  b_0=0.3, beta=0.5),
+        LayerSpec(size=4, neuron="lif", tau_m_init=(6.0, 1.0), theta=0.3),
+        LayerSpec(size=3, neuron="readout")])
+    bn = init_network(spec, seed=33)
+    x = np.random.default_rng(15).normal(size=(3, 25, 3))
+    x = x[0] if layout == "sequence" else _batch_layouts(x)[layout != "batch"]
+    trace = forward_bidirectional(bn.forward_net, bn.backward_net, x)
+    hidden = NetworkSpec(input_size=3, layers=spec.layers[:-1], decode="spike_count")
+    back = Network(spec=hidden, layers=bn.backward_net.layers)
+    x_rev = np.ascontiguousarray(x[::-1] if layout == "sequence" else x[:, ::-1])
+    for got, want in zip(trace.bwd_layers, forward_sequence(back, x_rev).layers):
+        _assert_traces_close(got, want)
+    assert 0.0 < trace.bwd_layers[0].y.mean() < 1.0
 
 
 def test_causality_under_input_perturbation():
@@ -444,6 +545,22 @@ def test_forward_input_validation():
         forward_sequence(net, bad)
     with pytest.raises(ValueError):
         forward_sequence(net, np.zeros((2, 2, 2, 2)))
+
+
+def test_bidirectional_input_validation():
+    bn = init_network(bidi_spec(), seed=19)
+    x = np.zeros((2, 5, 4))                   # built for 3 channels
+    why = "expected 3 input channels, got 4"
+    with pytest.raises(ValueError, match=why):
+        forward_bidirectional(bn.forward_net, bn.backward_net, x)
+    with pytest.raises(ValueError, match=why):
+        forward_any(bn, x)
+    with pytest.raises(ValueError, match=why):
+        evaluate(bn, SimpleNamespace(inputs=x, labels=np.zeros((2, 5), dtype=int)))
+    bad = np.zeros((5, 3))
+    bad[2, 1] = np.inf
+    with pytest.raises(ValueError, match="non-finite"):
+        forward_bidirectional(bn.forward_net, bn.backward_net, bad)
 
 
 def test_spec_validation():
