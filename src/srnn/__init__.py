@@ -49,12 +49,10 @@ from srnn.datasets import (
 )
 from srnn.gradcheck import GradCheckReport, grad_check, tape_gradients
 from srnn.network import (
-    BidirectionalNetwork,
     ForwardTrace,
     LayerSpec,
     Network,
     NetworkSpec,
-    forward_bidirectional,
     forward_sequence,
     forward_step,
     init_network,

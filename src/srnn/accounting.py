@@ -19,12 +19,7 @@ from typing import Optional
 
 import numpy as np
 
-from srnn.network import (
-    BidirectionalNetwork,
-    BidirectionalTrace,
-    ForwardTrace,
-    Network,
-)
+from srnn.network import ForwardTrace, Network
 
 MAC_ENERGY_PJ = 3.1
 AC_ENERGY_PJ = 0.1
@@ -74,18 +69,15 @@ class ArchDescription:
             raise ValueError("an architecture needs at least one layer")
 
     @classmethod
-    def from_network(cls, net) -> "ArchDescription":
+    def from_network(cls, net: Network) -> "ArchDescription":
         """Describe a network's topology for cost accounting.
 
-        Analog recurrent layers are charged as vanilla RNN cells, analog
+        One entry per layer of `net.all_layers`, in that order. Analog
+        recurrent layers are charged as vanilla RNN cells, analog
         feedforward layers as dense ones.
         """
-        if isinstance(net, BidirectionalNetwork):
-            layers = list(net.forward_net.layers) + list(net.backward_net.layers)
-        else:
-            layers = list(net.layers)
         entries = []
-        for layer in layers:
+        for layer in net.all_layers:
             kind = layer.spec.neuron
             if kind == "relu":
                 kind = "vanilla_rnn" if layer.w_rec is not None else "dense"
@@ -116,20 +108,14 @@ class FiringRates:
     mean: float
 
 
-def firing_rate(trace) -> FiringRates:
+def firing_rate(trace: ForwardTrace) -> FiringRates:
     """Spike probability per neuron per step, from a recorded hard trace."""
-    if getattr(trace, "soft", False):
+    if trace.soft:
         raise ValueError("firing rates are defined for hard (binary) traces")
-    if isinstance(trace, BidirectionalTrace):
-        layer_traces = list(trace.fwd_layers) + list(trace.bwd_layers)
-    elif isinstance(trace, ForwardTrace):
-        layer_traces = trace.layers
-    else:
-        raise TypeError("expected a forward trace")
     per_layer = []
     spikes = 0.0
     count = 0
-    for lt in layer_traces:
+    for lt in trace.all_layers:
         if not lt.spiking:
             continue
         t_steps, batch, _ = lt.y.shape
@@ -144,26 +130,33 @@ def sop_count(trace: ForwardTrace, arch: ArchDescription):
     """Synaptic operations caused by the spikes in a trace.
 
     Every emitted spike is charged the number of synapses it reaches: its
-    layer's recurrent synapses plus the next layer's input synapses.
-    Nonzero input entries count as events into the first layer. Returns
-    (total, per step), the latter averaged over time and batch.
+    layer's recurrent synapses plus the input synapses of the layer it
+    feeds. Nonzero input entries count as events into the first layer.
+    In a bidirectional trace both stacks read the input and both last
+    hidden layers feed the head. `arch` lists the layers in the order of
+    `trace.all_layers`. Returns (total, per step), the latter averaged over
+    time and batch.
     """
-    if not isinstance(trace, ForwardTrace):
-        raise TypeError("SOP counting covers plain layer stacks only")
     if trace.soft:
         raise ValueError("SOPs are defined for hard (binary) traces")
-    if len(arch.layers) != len(trace.layers):
+    layers = trace.all_layers
+    if len(arch.layers) != len(layers):
         raise ValueError("architecture and trace disagree on depth")
-    t_steps, batch = trace.t_steps, trace.batch_size
-    total = float(np.count_nonzero(trace.inputs)) * arch.layers[0].size
-    for i, (entry, lt) in enumerate(zip(arch.layers, trace.layers)):
-        if not lt.spiking:
-            continue
-        fan_out = entry.size if entry.recurrent else 0
-        if i + 1 < len(arch.layers):
-            fan_out += arch.layers[i + 1].size
-        total += float(lt.y.sum()) * fan_out
-    return total, total / (t_steps * batch)
+    head = len(trace.layers) - 1
+    paths = [range(head + 1)]            # each path runs from the input to the head
+    if trace.back:
+        paths.append([*range(head + 1, len(layers)), head])
+    total = 0.0
+    for path in paths:
+        total += float(np.count_nonzero(trace.inputs)) * arch.layers[path[0]].size
+        for i, fed in zip(path, [*path[1:], None]):
+            if not layers[i].spiking:
+                continue
+            fan_out = arch.layers[i].size if arch.layers[i].recurrent else 0
+            if fed is not None:
+                fan_out += arch.layers[fed].size
+            total += float(layers[i].y.sum()) * fan_out
+    return total, total / (trace.t_steps * trace.batch_size)
 
 
 def snn_cost_per_step(arch: ArchDescription, fr: float = 0.0):

@@ -33,7 +33,6 @@ from srnn.network import (
     DECODE_MODES,
     NEURON_KINDS,
     LayerSpec,
-    Network,
     NetworkSpec,
     forward_sequence,
     init_network,
@@ -48,7 +47,6 @@ from srnn.training import (
     TrainingConfig,
     evaluate,
     fit,
-    forward_any,
     step_probs,
 )
 
@@ -314,15 +312,9 @@ def _require(doc: dict, section: str, command: str):
 
 
 def _write_cost_report(net, data, out_dir: Path) -> None:
-    trace = forward_sequence(net, data.inputs) if isinstance(net, Network) \
-        else None
+    trace = forward_sequence(net, data.inputs)
     arch = ArchDescription.from_network(net)
-    if trace is not None:
-        fr = firing_rate(trace).mean
-        sops = sop_count(trace, arch)
-    else:
-        fr, sops = 0.0, None
-    report = cost_report(arch, fr=fr, sops=sops)
+    report = cost_report(arch, fr=firing_rate(trace).mean, sops=sop_count(trace, arch))
     (out_dir / "cost_report.txt").write_text(report.to_text())
     (out_dir / "cost_report.csv").write_text(report.to_csv_text())
 
@@ -384,15 +376,13 @@ def cmd_eval(args) -> int:
     rep = evaluate(net, data)
     line = (f"samples {rep.n_samples}  accuracy {rep.accuracy:.4f}  "
             f"loss {rep.loss:.4f}  firing rate {rep.firing_rate:.4f}")
-    if isinstance(net, Network):
-        trace = forward_sequence(net, data.inputs)
-        total, per_step = sop_count(trace, ArchDescription.from_network(net))
-        line += f"  SOPs {total:.0f} ({per_step:.1f}/step)"
+    trace = forward_sequence(net, data.inputs)
+    total, per_step = sop_count(trace, ArchDescription.from_network(net))
+    line += f"  SOPs {total:.0f} ({per_step:.1f}/step)"
     print(line)
     if data.kind == "streaming":
         out_dir = Path(args.out or ".")
         out_dir.mkdir(parents=True, exist_ok=True)
-        trace = forward_any(net, data.inputs)
         pred = np.argmax(step_probs(trace, net.spec.decode), axis=2)
         lines = ["sample,step,label,prediction"]
         for s in range(data.n_samples):
@@ -412,8 +402,6 @@ def cmd_energy(args) -> int:
         arch = ArchDescription.from_network(net)
         if args.data:
             data = _load_data_for(net, args.data)
-            if not isinstance(net, Network):
-                raise UsageError("firing-rate measurement needs a plain stack")
             trace = forward_sequence(net, data.inputs)
             fr = firing_rate(trace).mean
             sops = sop_count(trace, arch)

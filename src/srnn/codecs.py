@@ -16,7 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from srnn.training import _softmax, forward_any, step_probs
+from srnn.network import forward_sequence
+from srnn.training import _softmax, step_probs
 
 
 @dataclass
@@ -126,7 +127,7 @@ def anytime_curve(net, data, chunk_size: int = 64) -> np.ndarray:
     total = np.zeros(t_steps)
     for start in range(0, n, chunk_size):
         sl = slice(start, min(start + chunk_size, n))
-        trace = forward_any(net, inputs[sl])
+        trace = forward_sequence(net, inputs[sl])
         probs = step_probs(trace, net.spec.decode)
         pred = np.argmax(probs, axis=2)              # (T, B)
         if labels.ndim == 1:

@@ -15,9 +15,9 @@ Two oracles against the vectorized backward pass in srnn.training:
    when the network is evaluated in the soft mode, where the spike
    nonlinearity is max(0, u - theta) and nothing is detached; there the
    analytic gradient must match difference quotients for every parameter
-   family, the adaptation time constants included. This oracle runs over
-   `flat_layers` and `forward_any`, so it covers bidirectional networks
-   as well as plain stacks.
+   family, the adaptation time constants included. This oracle perturbs
+   every layer of `Network.all_layers` and reruns `forward_sequence`, so
+   it covers bidirectional networks as well as plain stacks.
 """
 
 from __future__ import annotations
@@ -28,20 +28,13 @@ from typing import Optional
 
 import numpy as np
 
-from srnn.network import (
-    BidirectionalTrace,
-    Network,
-    _as_time_batch,
-    forward_sequence,
-)
+from srnn.network import Network, _as_time_batch, forward_sequence
 from srnn.surrogates import MultiGaussian, SurrogateKind, surrogate_grad
 from srnn.training import (
     GradientSet,
     LayerGrads,
     _loss_and_seeds,
     backward,
-    flat_layers,
-    forward_any,
     zero_grads,
 )
 
@@ -271,8 +264,8 @@ def tape_gradients(net: Network, inputs, targets, surrogate: SurrogateKind,
     Gradients are sums over the batch, matching srnn.training.backward.
     Only plain (non-bidirectional) stacks are supported.
     """
-    if not isinstance(net, Network):
-        raise TypeError("the tape oracle covers plain layer stacks only")
+    if net.back:
+        raise ValueError("the tape oracle covers plain layer stacks only")
     x_tbn = _as_time_batch(inputs)
     t_steps, batch, _ = x_tbn.shape
     targets = np.asarray(targets)
@@ -358,13 +351,6 @@ def _compare(reference: GradientSet, candidate: GradientSet,
     return max_abs, max_rel, checked, families
 
 
-def _flat_traces(trace) -> list:
-    """Layer traces in the order of `flat_layers`."""
-    if isinstance(trace, BidirectionalTrace):
-        return trace.fwd_layers + [trace.head] + trace.bwd_layers
-    return trace.layers
-
-
 def _soft_loss(net, trace, targets) -> float:
     loss, _, _, _, _ = _loss_and_seeds(net.spec.decode, trace.head, targets)
     return loss
@@ -373,7 +359,7 @@ def _soft_loss(net, trace, targets) -> float:
 def _kink_margin(net, trace) -> float:
     """Distance from every unit-step state to its nearest nonlinearity kink."""
     margin = math.inf
-    for layer, lt in zip(flat_layers(net), _flat_traces(trace)):
+    for layer, lt in zip(net.all_layers, trace.all_layers):
         s = layer.spec
         if lt.neuron == "alif":
             margin = min(margin, float(np.min(np.abs(lt.u - (s.b_0 + s.beta * lt.eta)))))
@@ -387,10 +373,10 @@ def _kink_margin(net, trace) -> float:
 def _fd_gradients(net, inputs, targets, h: float) -> GradientSet:
     """Central differences of the soft-mode loss for every parameter."""
     def loss_now() -> float:
-        return _soft_loss(net, forward_any(net, inputs, soft=True), targets)
+        return _soft_loss(net, forward_sequence(net, inputs, soft=True), targets)
 
     grads = zero_grads(net)
-    for layer, lg in zip(flat_layers(net), grads.layers):
+    for layer, lg in zip(net.all_layers, grads.layers):
         for name, p in layer.param_arrays().items():
             if p is None:
                 continue
@@ -428,7 +414,7 @@ def grad_check(net, inputs, targets, mode: str = "relu_exact",
         surrogate = MultiGaussian()
 
     if mode == "relu_exact":
-        trace = forward_any(net, inputs, soft=True)
+        trace = forward_sequence(net, inputs, soft=True)
         analytic = backward(net, trace, targets, surrogate)
         loss = _soft_loss(net, trace, targets)
         if not math.isfinite(loss):

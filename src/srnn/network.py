@@ -6,6 +6,15 @@ plus, if the layer is recurrent, its own output from step t-1 through a
 square recurrent matrix. Forward passes record a per-layer trace (drive,
 membrane, output, and the adaptation variable) which the trainer consumes.
 
+A bidirectional network (spec.bidirectional) keeps its forward hidden
+stack and readout head in `layers` and a second hidden stack of the same
+shape in `back`. The back stack runs on the time-reversed input; the head
+integrates merged_t = (y_t of the last forward layer + y_t of the last
+back layer, re-aligned to input time) / 2. Both stacks need the whole
+sequence, so the online API rejects such a network. `layers + back` is
+the canonical order of trainable layers, which gradients, optimizer state
+and cost accounting follow.
+
 All four neuron kinds run one leaky membrane recursion (see `cell`),
 
     u_t = decay * held_t + gain * pre_t  [- theta_{t-1} * y_{t-1}]
@@ -48,7 +57,7 @@ exists for gradient verification, not for deployment.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -150,20 +159,13 @@ class Layer:
 @dataclass
 class Network:
     spec: NetworkSpec
-    layers: list[Layer]
-
-
-@dataclass
-class BidirectionalNetwork:
-    """Two mirrored hidden stacks feeding one readout integrator."""
-
-    spec: NetworkSpec
-    forward_net: Network             # hidden stack + readout head
-    backward_net: Network            # hidden stack only, runs on reversed time
+    layers: list[Layer]              # input to head; the forward stack if bidirectional
+    back: list[Layer] = field(default_factory=list)   # reversed-time hidden stack
 
     @property
-    def head(self) -> Layer:
-        return self.forward_net.layers[-1]
+    def all_layers(self) -> list[Layer]:
+        """Every trainable layer in canonical order."""
+        return self.layers + self.back
 
 
 def _orthogonal(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -198,31 +200,24 @@ def init_network(spec: NetworkSpec, seed: Optional[int] = None):
     Input weights are Xavier-uniform, recurrent weights orthogonal, biases
     zero. Time constants are normal draws clamped into [dt, 1e4*dt].
     Spiking membranes start uniform in [0, resting threshold] unless the
-    spec asks for zeros. Returns a BidirectionalNetwork when the spec says
-    so, otherwise a Network.
+    spec asks for zeros. A bidirectional net draws its forward hidden
+    stack, then its back stack, then the head.
     """
     rng = np.random.default_rng(spec.seed if seed is None else seed)
-    if not spec.bidirectional:
+
+    def stack(specs: list[LayerSpec], fan_in: int) -> list[Layer]:
         layers = []
-        fan_in = spec.input_size
-        for lspec in spec.layers:
+        for lspec in specs:
             layers.append(_init_layer(rng, lspec, fan_in, spec.zero_init_membrane))
             fan_in = lspec.size
-        return Network(spec=spec, layers=layers)
+        return layers
 
-    hidden, head_spec = spec.layers[:-1], spec.layers[-1]
-    fwd_layers, fan_in = [], spec.input_size
-    for lspec in hidden:
-        fwd_layers.append(_init_layer(rng, lspec, fan_in, spec.zero_init_membrane))
-        fan_in = lspec.size
-    bwd_layers, fan_in = [], spec.input_size
-    for lspec in hidden:
-        bwd_layers.append(_init_layer(rng, lspec, fan_in, spec.zero_init_membrane))
-        fan_in = lspec.size
-    head = _init_layer(rng, head_spec, hidden[-1].size, spec.zero_init_membrane)
-    fwd = Network(spec=spec, layers=fwd_layers + [head])
-    bwd = Network(spec=spec, layers=bwd_layers)
-    return BidirectionalNetwork(spec=spec, forward_net=fwd, backward_net=bwd)
+    if not spec.bidirectional:
+        return Network(spec=spec, layers=stack(spec.layers, spec.input_size))
+    hidden = spec.layers[:-1]
+    fwd, back = stack(hidden, spec.input_size), stack(hidden, spec.input_size)
+    head = stack(spec.layers[-1:], hidden[-1].size)
+    return Network(spec=spec, layers=fwd + head, back=back)
 
 
 @dataclass
@@ -251,8 +246,10 @@ class LayerTrace:
 @dataclass
 class ForwardTrace:
     inputs: np.ndarray               # (T, B, N)
-    layers: list[LayerTrace]
+    layers: list[LayerTrace]         # one per layer of Network.layers
     soft: bool = False
+    back: list[LayerTrace] = field(default_factory=list)  # in reversed input time
+    merged: Optional[np.ndarray] = None   # (T, B, n) head input, if bidirectional
 
     @property
     def t_steps(self) -> int:
@@ -266,26 +263,19 @@ class ForwardTrace:
     def head(self) -> LayerTrace:
         return self.layers[-1]
 
-
-@dataclass
-class BidirectionalTrace:
-    inputs: np.ndarray
-    fwd_layers: list[LayerTrace]
-    bwd_layers: list[LayerTrace]     # recorded in reversed input time
-    merged: np.ndarray               # (T, B, n) head drive source
-    head: LayerTrace
-    soft: bool = False
-
     @property
-    def t_steps(self) -> int:
-        return self.inputs.shape[0]
+    def all_layers(self) -> list[LayerTrace]:
+        """Layer traces in the order of Network.all_layers."""
+        return self.layers + self.back
 
-    @property
-    def batch_size(self) -> int:
-        return self.inputs.shape[1]
+
+def _online(net: Network) -> None:
+    if net.back:
+        raise ValueError("a bidirectional network needs the whole sequence")
 
 
 def init_state(net: Network, batch: int) -> list[LayerState]:
+    _online(net)
     states = []
     for layer in net.layers:
         u = np.broadcast_to(layer.u_init, (batch, layer.size)).copy()
@@ -376,6 +366,7 @@ def _step_layer(layer: Layer, c: Cell, pre: np.ndarray, prev: tuple,
 def forward_step(net: Network, x_t: np.ndarray, states: list[LayerState],
                  soft: bool = False):
     """One synchronous step through the stack. Returns (states', outputs)."""
+    _online(net)
     x_t = np.asarray(x_t, dtype=float)
     squeeze = x_t.ndim == 1
     inp = x_t[None, :] if squeeze else x_t
@@ -468,42 +459,19 @@ def forward_sequence(net: Network, x, soft: bool = False) -> ForwardTrace:
     """Run a full sequence (or batch of sequences) and record the trace.
 
     Accepts (T, N) for one sequence or (B, T, N) for a batch; the trace is
-    always time-major with an explicit batch axis.
+    always time-major with an explicit batch axis. A bidirectional net
+    also records its back stack and the merged head input.
     """
     x_tbn = _checked_input(x, net.spec.input_size)
-    traces = _run_layers(net.layers, x_tbn, soft=soft)
-    return ForwardTrace(inputs=x_tbn, layers=traces, soft=soft)
-
-
-def forward_bidirectional(net_f: Network, net_b: Network, x,
-                          soft: bool = False) -> BidirectionalTrace:
-    """Run a forward and a backward stack over x and integrate their mean.
-
-    net_f must end in a readout layer, which serves as the shared
-    integrator; net_b contributes its hidden stack (a trailing readout on
-    net_b is ignored). At each step the aligned hidden outputs of the two
-    directions are averaged and fed through the integrator.
-    """
-    if net_f.layers[-1].spec.neuron != "readout":
-        raise ValueError("net_f must end in a readout integrator")
-    stack_f = net_f.layers[:-1]
-    head = net_f.layers[-1]
-    stack_b = net_b.layers[:-1] if net_b.layers[-1].spec.neuron == "readout" \
-        else net_b.layers
-    if not stack_f or not stack_b:
-        raise ValueError("both directions need at least one hidden layer")
-    if stack_f[-1].size != stack_b[-1].size:
-        raise ValueError("directional stacks must end in the same width")
-    if stack_f[0].fan_in != stack_b[0].fan_in:
-        raise ValueError("directional stacks must read the same input width")
-
-    x_tbn = _checked_input(x, stack_f[0].fan_in)
-    fwd = _run_layers(stack_f, x_tbn, soft=soft)
-    bwd = _run_layers(stack_b, x_tbn[::-1], soft=soft)
-    merged = 0.5 * (fwd[-1].y + bwd[-1].y[::-1])
-    head_trace = _run_layers([head], merged, soft=soft)[0]
-    return BidirectionalTrace(inputs=x_tbn, fwd_layers=fwd, bwd_layers=bwd,
-                              merged=merged, head=head_trace, soft=soft)
+    if not net.back:
+        return ForwardTrace(inputs=x_tbn, layers=_run_layers(net.layers, x_tbn, soft),
+                            soft=soft)
+    fwd = _run_layers(net.layers[:-1], x_tbn, soft)
+    back = _run_layers(net.back, x_tbn[::-1], soft)
+    merged = 0.5 * (fwd[-1].y + back[-1].y[::-1])
+    head = _run_layers(net.layers[-1:], merged, soft)
+    return ForwardTrace(inputs=x_tbn, layers=fwd + head, soft=soft, back=back,
+                        merged=merged)
 
 
 def _layer_spec_to_dict(s: LayerSpec) -> dict:
@@ -558,17 +526,18 @@ def _spec_from_dict(d: dict) -> NetworkSpec:
                        seed=d["seed"], zero_init_membrane=d["zero_init_membrane"])
 
 
-def save_model(net, path) -> None:
+def _stack_keys(spec: NetworkSpec) -> tuple[str, Optional[str]]:
+    """Model-file keys of the layer stacks (layers, back)."""
+    return ("forward_layers", "backward_layers") if spec.bidirectional else ("layers", None)
+
+
+def save_model(net: Network, path) -> None:
     """Write a network to a JSON model file (format srnn-model/1)."""
-    if isinstance(net, BidirectionalNetwork):
-        doc = {"format": MODEL_FORMAT,
-               "spec": _spec_to_dict(net.spec),
-               "forward_layers": [_layer_to_dict(l) for l in net.forward_net.layers],
-               "backward_layers": [_layer_to_dict(l) for l in net.backward_net.layers]}
-    else:
-        doc = {"format": MODEL_FORMAT,
-               "spec": _spec_to_dict(net.spec),
-               "layers": [_layer_to_dict(l) for l in net.layers]}
+    front, back = _stack_keys(net.spec)
+    doc = {"format": MODEL_FORMAT, "spec": _spec_to_dict(net.spec),
+           front: [_layer_to_dict(l) for l in net.layers]}
+    if back:
+        doc[back] = [_layer_to_dict(l) for l in net.back]
     with open(path, "w") as f:
         json.dump(doc, f, indent=1, sort_keys=True)
         f.write("\n")
@@ -602,7 +571,7 @@ def _check_stack(layers: list[Layer], specs: list[LayerSpec], fan_in: int,
         fan_in = n
 
 
-def load_model(path):
+def load_model(path) -> Network:
     """Read a JSON model file written by save_model.
 
     A file that is not a well-formed model raises ValueError: a missing
@@ -618,16 +587,14 @@ def load_model(path):
         raise ValueError(f"unsupported model format: {doc.get('format')!r}")
     try:
         spec = _spec_from_dict(doc["spec"])
-        if not spec.bidirectional:
-            net = Network(spec=spec, layers=[_layer_from_dict(d) for d in doc["layers"]])
-            _check_stack(net.layers, spec.layers, spec.input_size, "layers")
-            return net
-        fwd = Network(spec=spec, layers=[_layer_from_dict(d) for d in doc["forward_layers"]])
-        bwd = Network(spec=spec, layers=[_layer_from_dict(d) for d in doc["backward_layers"]])
+        front, back = _stack_keys(spec)
+        net = Network(spec=spec, layers=[_layer_from_dict(d) for d in doc[front]])
+        _check_stack(net.layers, spec.layers, spec.input_size, front)
+        if back:
+            net.back = [_layer_from_dict(d) for d in doc[back]]
+            _check_stack(net.back, spec.layers[:-1], spec.input_size, back)
     except KeyError as e:
         raise ValueError(f"model file lacks key {e.args[0]!r}") from None
     except (TypeError, AttributeError) as e:
         raise ValueError(f"malformed model file: {e}") from None
-    _check_stack(fwd.layers, spec.layers, spec.input_size, "forward_layers")
-    _check_stack(bwd.layers, spec.layers[:-1], spec.input_size, "backward_layers")
-    return BidirectionalNetwork(spec=spec, forward_net=fwd, backward_net=bwd)
+    return net

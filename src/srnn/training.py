@@ -25,9 +25,9 @@ on the recorded trace alone and are evaluated for a block of steps at
 once, and the time-constant sums are reduced once per block. Weight
 gradients are each a single GEMM over time x batch: (T*B, fan_in)^T @
 (T*B, n) for the input weights and the same over the shifted outputs for
-the recurrent weights. The gradient passed to the layer below is one flat
-GEMM, and the network input's own gradient, which nothing consumes, is
-never formed.
+the recurrent weights. The gradient passed to the layer below is formed
+like the forward pass's input projection, one T-row GEMM per sample, and
+the network input's own gradient, which nothing consumes, is never formed.
 
 Gradients returned by `backward` are sums over the batch axis; `fit`
 divides by the minibatch size so the update uses the mean. Minibatches
@@ -45,16 +45,15 @@ from typing import Optional, Union
 import numpy as np
 
 from srnn.network import (
-    BidirectionalNetwork,
-    BidirectionalTrace,
     Cell,
+    ForwardTrace,
     Layer,
     LayerTrace,
     Network,
     NetworkSpec,
+    _project,
     cell,
     decay_tau_grad,
-    forward_bidirectional,
     forward_sequence,
     init_network,
 )
@@ -171,16 +170,9 @@ class GradientSet:
         return self
 
 
-def flat_layers(net) -> list[Layer]:
-    """Trainable layers in canonical order (bidirectional nets flatten)."""
-    if isinstance(net, BidirectionalNetwork):
-        return list(net.forward_net.layers) + list(net.backward_net.layers)
-    return list(net.layers)
-
-
-def zero_grads(net) -> GradientSet:
+def zero_grads(net: Network) -> GradientSet:
     grads = []
-    for layer in flat_layers(net):
+    for layer in net.all_layers:
         grads.append(LayerGrads(
             w_in=np.zeros_like(layer.w_in),
             w_rec=np.zeros_like(layer.w_rec) if layer.w_rec is not None else None,
@@ -328,7 +320,8 @@ def _layer_backward(layer: Layer, tr: LayerTrace, below_y: np.ndarray,
     )
     g_below = None
     if need_g_below:
-        g_below = (dpre.reshape(-1, n) @ layer.w_in.T).reshape(t_steps, batch, -1)
+        g_below = np.empty((t_steps, batch, layer.fan_in))
+        _project(dpre, layer.w_in.T, g_below)
     return grads, g_below
 
 
@@ -396,52 +389,40 @@ def _stack_backward(layers, traces, bottom_y, g_ext_top, g_direct_top,
     return grads
 
 
-def backward(net, trace, targets, surrogate: SurrogateKind,
+def backward(net: Network, trace: ForwardTrace, targets, surrogate: SurrogateKind,
              train_tau_m: bool = True, train_tau_adp: bool = True) -> GradientSet:
-    """BPTT over a recorded trace. Gradients are sums over the batch."""
-    if isinstance(net, BidirectionalNetwork) != isinstance(trace, BidirectionalTrace):
+    """BPTT over a recorded trace. Gradients are sums over the batch.
+
+    The gradients follow `net.all_layers`. In a bidirectional net the head
+    reads the merged stack outputs, so each stack's top takes half of the
+    head's input gradient, the back stack's in reversed time.
+    """
+    if len(net.back) != len(trace.back):
         raise TypeError("network and trace kinds do not match")
-    decode = net.spec.decode
-
-    if isinstance(net, BidirectionalNetwork):
-        loss, g_ext, g_dir, correct, total = _loss_and_seeds(decode, trace.head, targets)
-        head = net.forward_net.layers[-1]
+    loss, g_ext, g_dir, correct, total = _loss_and_seeds(net.spec.decode, trace.head,
+                                                         targets)
+    if not net.back:
+        grads = _stack_backward(net.layers, trace.layers, trace.inputs, g_ext, g_dir,
+                                surrogate, trace.soft, train_tau_m, train_tau_adp)
+    else:
         head_grads, g_merged = _layer_backward(
-            head, trace.head, trace.merged, g_ext, g_dir, surrogate, trace.soft,
-            train_tau_m, train_tau_adp)
-        fwd_hidden = net.forward_net.layers[:-1]
-        bwd_hidden = net.backward_net.layers
+            net.layers[-1], trace.head, trace.merged, g_ext, g_dir, surrogate,
+            trace.soft, train_tau_m, train_tau_adp)
         fwd_grads = _stack_backward(
-            fwd_hidden, trace.fwd_layers, trace.inputs, 0.5 * g_merged, None,
+            net.layers[:-1], trace.layers[:-1], trace.inputs, 0.5 * g_merged, None,
             surrogate, trace.soft, train_tau_m, train_tau_adp)
-        bwd_grads = _stack_backward(
-            bwd_hidden, trace.bwd_layers, trace.inputs[::-1], 0.5 * g_merged[::-1],
-            None, surrogate, trace.soft, train_tau_m, train_tau_adp)
-        layers = fwd_grads + [head_grads] + bwd_grads
-        return GradientSet(layers=layers, loss=loss, correct=correct,
-                           total_preds=total)
-
-    loss, g_ext, g_dir, correct, total = _loss_and_seeds(decode, trace.head, targets)
-    grads = _stack_backward(net.layers, trace.layers, trace.inputs, g_ext, g_dir,
-                               surrogate, trace.soft, train_tau_m, train_tau_adp)
+        back_grads = _stack_backward(
+            net.back, trace.back, trace.inputs[::-1], 0.5 * g_merged[::-1], None,
+            surrogate, trace.soft, train_tau_m, train_tau_adp)
+        grads = fwd_grads + [head_grads] + back_grads
     return GradientSet(layers=grads, loss=loss, correct=correct, total_preds=total)
 
 
-def forward_any(net, x, soft: bool = False):
-    if isinstance(net, BidirectionalNetwork):
-        return forward_bidirectional(net.forward_net, net.backward_net, x, soft=soft)
-    return forward_sequence(net, x, soft=soft)
-
-
-def trace_firing_rate(trace) -> tuple[float, float]:
+def trace_firing_rate(trace: ForwardTrace) -> tuple[float, float]:
     """(spike sum, step*unit count) over the spiking layers of a trace."""
-    if isinstance(trace, BidirectionalTrace):
-        layer_traces = trace.fwd_layers + trace.bwd_layers
-    else:
-        layer_traces = trace.layers
     spikes = 0.0
     denom = 0.0
-    for lt in layer_traces:
+    for lt in trace.all_layers:
         if lt.spiking and not trace.soft:
             spikes += float(lt.y.sum())
             denom += lt.y.size
@@ -470,7 +451,7 @@ class AdamState:
     @classmethod
     def for_net(cls, net) -> "AdamState":
         m, v = [], []
-        for layer in flat_layers(net):
+        for layer in net.all_layers:
             m.append({k: np.zeros_like(a) if a is not None else None
                       for k, a in layer.param_arrays().items()})
             v.append({k: np.zeros_like(a) if a is not None else None
@@ -483,7 +464,7 @@ def adam_step(net, grads: GradientSet, state: AdamState, lr: float):
     state.t += 1
     bc1 = 1.0 - state.beta1 ** state.t
     bc2 = 1.0 - state.beta2 ** state.t
-    for layer, lg, m, v in zip(flat_layers(net), grads.layers, state.m, state.v):
+    for layer, lg, m, v in zip(net.all_layers, grads.layers, state.m, state.v):
         params = layer.param_arrays()
         for name, p in params.items():
             g = lg.arrays()[name]
@@ -553,7 +534,7 @@ class MetricsLog:
 
 
 def _chunk_job(net, inputs, targets, config):
-    trace = forward_any(net, inputs)
+    trace = forward_sequence(net, inputs)
     grads = backward(net, trace, targets, config.surrogate,
                      train_tau_m=config.train_tau_m,
                      train_tau_adp=config.train_tau_adp)
@@ -581,7 +562,7 @@ def _batch_gradients(net, inputs, labels, idx, config, pool):
 
 def _check_finite(net, epoch: int) -> None:
     """Raise FloatingPointError naming the first non-finite parameter family."""
-    for i, layer in enumerate(flat_layers(net)):
+    for i, layer in enumerate(net.all_layers):
         for name, p in layer.param_arrays().items():
             if p is not None and not np.isfinite(p).all():
                 raise FloatingPointError(f"training diverged at epoch {epoch}: "
@@ -668,7 +649,7 @@ def evaluate(net, data, chunk_size: int = 64) -> EvalReport:
     denom = 0.0
     for start in range(0, n, chunk_size):
         sl = slice(start, min(start + chunk_size, n))
-        trace = forward_any(net, inputs[sl])
+        trace = forward_sequence(net, inputs[sl])
         loss, _, _, c, tp = _loss_and_seeds(decode, trace.head, labels[sl])
         loss_sum += loss
         correct += c

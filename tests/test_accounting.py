@@ -17,7 +17,6 @@ from srnn.accounting import (
 from srnn.network import (
     LayerSpec,
     NetworkSpec,
-    forward_bidirectional,
     forward_sequence,
     init_network,
 )
@@ -130,7 +129,7 @@ def test_arch_description_round_trip():
     assert back == arch
 
 
-def spiking_net(seed=0):
+def spiking_net(seed=0, bidirectional=False):
     spec = NetworkSpec(
         input_size=3,
         layers=[
@@ -139,7 +138,7 @@ def spiking_net(seed=0):
             LayerSpec(size=5, neuron="lif", theta=0.4, tau_m_init=(5.0, 1.0)),
             LayerSpec(size=2, neuron="readout", tau_m_init=(5.0, 0.0)),
         ],
-        decode="membrane_softmax", seed=seed)
+        decode="membrane_softmax", bidirectional=bidirectional, seed=seed)
     return init_network(spec, seed)
 
 
@@ -212,6 +211,18 @@ def test_sop_count_against_bruteforce():
         if i + 1 < len(sizes):
             fan_out += sizes[i + 1]
         manual += lt.y.sum() * fan_out
+    assert total == manual
+    assert abs(per_step - total / (12 * 3)) < 1e-12
+
+    # bidirectional 3 -> 6r-alif -> 5-lif -> 2-readout: the input reaches
+    # both first layers, and both lif layers feed the head
+    bn = spiking_net(5, bidirectional=True)
+    trace = forward_sequence(bn, x)
+    total, per_step = sop_count(trace, ArchDescription.from_network(bn))
+    manual = np.count_nonzero(x) * (6 + 6)
+    for alif, lif in ((trace.layers[0], trace.layers[1]), (trace.back[0], trace.back[1])):
+        assert alif.y.sum() > 0 and lif.y.sum() > 0
+        manual += alif.y.sum() * (6 + 5) + lif.y.sum() * 2
     assert total == manual
     assert abs(per_step - total / (12 * 3)) < 1e-12
 

@@ -240,6 +240,25 @@ def test_energy_from_model_and_arch(tmp_path, capsys):
     assert "788" in capsys.readouterr().out
 
 
+def test_eval_and_energy_count_sops_of_bidirectional_models(tmp_path, capsys):
+    network = {"input_size": 3, "bidirectional": True, "decode": "membrane_softmax",
+               "seed": 1,
+               "layers": [{"size": 8, "neuron": "alif", "recurrent": True,
+                           "tau_m_init": [8.0, 2.0], "tau_adp_init": [40.0, 5.0],
+                           "b_0": 0.3, "beta": 0.6},
+                          {"size": 2, "neuron": "readout", "tau_m_init": [8.0, 2.0]}]}
+    cfg = pattern_config(tmp_path, out_name="bd", network=network)
+    assert main(["train", "--config", cfg]) == 0
+    assert "SOPs" in (tmp_path / "bd" / "cost_report.txt").read_text()
+    assert main(["gen", "--config", cfg, "--out", str(tmp_path / "bdd")]) == 0
+    model, data = str(tmp_path / "bd" / "model.json"), str(tmp_path / "bdd" / "test")
+    capsys.readouterr()
+    assert main(["eval", "--model", model, "--data", data]) == 0
+    assert "SOPs" in capsys.readouterr().out
+    assert main(["energy", "--model", model, "--data", data]) == 0
+    assert "SOPs" in capsys.readouterr().out
+
+
 def test_energy_usage_errors(tmp_path):
     cfg = pattern_config(tmp_path, out_name="eu")
     assert main(["train", "--config", cfg]) == 0

@@ -11,14 +11,13 @@ import pytest
 
 from srnn.gradcheck import _kink_margin, grad_check, tape_gradients
 from srnn.network import (
-    BidirectionalNetwork,
     LayerSpec,
     NetworkSpec,
     forward_sequence,
     init_network,
 )
 from srnn.surrogates import Gaussian, Linear, MultiGaussian, SLayer
-from srnn.training import backward, forward_any
+from srnn.training import backward
 
 
 def spiking_spec(seed, decode="membrane_softmax", out_neuron="readout",
@@ -73,7 +72,7 @@ def sample_case(spec, seed, t_steps=20, margin=1e-3, batch=1, h=1e-5):
         x = 2.0 * rng.standard_normal((batch, t_steps, spec.input_size))
         labels = rng.integers(0, spec.layers[-1].size, size=batch)
         # the margin is checked first to spare finite differences on rejects
-        if _kink_margin(net, forward_any(net, x, soft=True)) > margin:
+        if _kink_margin(net, forward_sequence(net, x, soft=True)) > margin:
             return net, x, labels, grad_check(net, x, labels, mode="relu_exact", h=h)
     raise AssertionError("could not find a kink-free sample")
 
@@ -110,7 +109,7 @@ def test_finite_differences_validate_bidirectional_backward(hidden):
     for seed in range(2):
         net, x, labels, report = sample_case(
             bidirectional_spec(seed, hidden), seed, t_steps=34, batch=2, h=1e-4)
-        assert isinstance(net, BidirectionalNetwork)
+        assert net.back
         families = ("w_in", "w_rec", "bias", "tau_m") + \
             (("tau_adp",) if hidden == "alif" else ())
         for name in families:

@@ -3,17 +3,16 @@
 import json
 import math
 import re
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from srnn.network import (
-    BidirectionalNetwork,
     LayerSpec,
     Network,
     NetworkSpec,
-    forward_bidirectional,
     forward_sequence,
     forward_step,
     init_network,
@@ -31,7 +30,7 @@ from srnn.neurons import (
     readout_step,
     relu_step,
 )
-from srnn.training import evaluate, forward_any
+from srnn.training import evaluate
 
 
 def small_spec(**kw):
@@ -280,13 +279,13 @@ def test_bidirectional_backward_stack_reads_reversed_time(layout):
     bn = init_network(spec, seed=33)
     x = np.random.default_rng(15).normal(size=(3, 25, 3))
     x = x[0] if layout == "sequence" else _batch_layouts(x)[layout != "batch"]
-    trace = forward_bidirectional(bn.forward_net, bn.backward_net, x)
+    trace = forward_sequence(bn, x)
     hidden = NetworkSpec(input_size=3, layers=spec.layers[:-1], decode="spike_count")
-    back = Network(spec=hidden, layers=bn.backward_net.layers)
+    back = Network(spec=hidden, layers=bn.back)
     x_rev = np.ascontiguousarray(x[::-1] if layout == "sequence" else x[:, ::-1])
-    for got, want in zip(trace.bwd_layers, forward_sequence(back, x_rev).layers):
+    for got, want in zip(trace.back, forward_sequence(back, x_rev).layers):
         _assert_traces_close(got, want)
-    assert 0.0 < trace.bwd_layers[0].y.mean() < 1.0
+    assert 0.0 < trace.back[0].y.mean() < 1.0
 
 
 def test_causality_under_input_perturbation():
@@ -408,39 +407,40 @@ def test_bidirectional_palindrome_symmetry():
     # run the forward stack against itself so both directions share weights;
     # both directions then see the identical input stream and their traces
     # agree step for step (in each direction's own time)
-    trace = forward_bidirectional(bn.forward_net, bn.forward_net, x)
-    for f, b in zip(trace.fwd_layers, trace.bwd_layers):
+    shared = Network(bn.spec, bn.layers, back=bn.layers[:-1])
+    trace = forward_sequence(shared, x)
+    for f, b in zip(trace.layers[:-1], trace.back):
         np.testing.assert_array_equal(f.y, b.y)
         np.testing.assert_array_equal(f.u, b.u)
 
 
 def test_bidirectional_zero_backward_halves_the_merge():
     bn = init_network(bidi_spec(zero_init_membrane=True), seed=14)
-    for layer in bn.backward_net.layers:
+    for layer in bn.back:
         layer.w_in[:] = 0.0
         if layer.w_rec is not None:
             layer.w_rec[:] = 0.0
     x = np.random.default_rng(8).normal(size=(10, 3))
-    trace = forward_bidirectional(bn.forward_net, bn.backward_net, x)
-    np.testing.assert_array_equal(trace.merged, 0.5 * trace.fwd_layers[-1].y)
+    trace = forward_sequence(bn, x)
+    np.testing.assert_array_equal(trace.merged, 0.5 * trace.layers[-2].y)
 
 
 def test_bidirectional_matches_naive_two_pass_reference():
     bn = init_network(bidi_spec(), seed=15)
     spec = bn.spec
     x = np.random.default_rng(9).normal(size=(14, 3))
-    trace = forward_bidirectional(bn.forward_net, bn.backward_net, x)
+    trace = forward_sequence(bn, x)
 
     hidden_spec = NetworkSpec(input_size=3, layers=[spec.layers[0]],
                               decode="spike_count", seed=0)
-    f_net = Network(spec=hidden_spec, layers=bn.forward_net.layers[:-1])
-    b_net = Network(spec=hidden_spec, layers=bn.backward_net.layers)
+    f_net = Network(spec=hidden_spec, layers=bn.layers[:-1])
+    b_net = Network(spec=hidden_spec, layers=bn.back)
     yf = forward_sequence(f_net, x).layers[-1].y
     yb = forward_sequence(b_net, x[::-1]).layers[-1].y
     merged = 0.5 * (yf + yb[::-1])
     np.testing.assert_array_equal(trace.merged, merged)
 
-    head = bn.forward_net.layers[-1]
+    head = bn.layers[-1]
     u = np.broadcast_to(head.u_init, (1, head.size)).copy()
     for t in range(14):
         pre = merged[t] @ head.w_in + head.bias
@@ -471,11 +471,46 @@ def test_bidirectional_model_round_trip(tmp_path):
     path = tmp_path / "bidi.json"
     save_model(bn, path)
     back = load_model(path)
-    assert isinstance(back, BidirectionalNetwork)
+    assert len(back.back) == len(bn.back)
     x = np.random.default_rng(11).normal(size=(8, 3))
-    a = forward_bidirectional(bn.forward_net, bn.backward_net, x)
-    b = forward_bidirectional(back.forward_net, back.backward_net, x)
+    a = forward_sequence(bn, x)
+    b = forward_sequence(back, x)
     np.testing.assert_array_equal(a.head.y, b.head.y)
+
+
+DATA = Path(__file__).parent / "data"
+
+
+@pytest.mark.parametrize("name", ["plain", "bidirectional"])
+def test_model_files_keep_their_format(name, tmp_path):
+    # files written by an earlier release: loading and saving again must
+    # reproduce them byte for byte, with the same stack keys and outputs
+    path = DATA / f"{name}_model.json"
+    net = load_model(path)
+    save_model(net, tmp_path / "again.json")
+    assert (tmp_path / "again.json").read_bytes() == path.read_bytes()
+    stacks = {"forward_layers", "backward_layers"} if name == "bidirectional" \
+        else {"layers"}
+    assert set(json.loads(path.read_text())) == {"format", "spec"} | stacks
+    ref = json.loads((DATA / "forward_outputs.json").read_text())
+    u = forward_sequence(net, np.array(ref["inputs"])).head.u
+    np.testing.assert_allclose(u, ref[name], rtol=1e-12, atol=1e-12)
+    # each file holds the draw of init_network from its spec's seed
+    fresh = init_network(net.spec)
+    for a, b in zip(fresh.all_layers, net.all_layers, strict=True):
+        for k, arr in a.param_arrays().items():
+            np.testing.assert_array_equal(arr, b.param_arrays()[k])
+        np.testing.assert_array_equal(a.u_init, b.u_init)
+
+
+def test_online_api_rejects_bidirectional_networks():
+    bn = init_network(bidi_spec(), seed=21)
+    why = "a bidirectional network needs the whole sequence"
+    with pytest.raises(ValueError, match=why):
+        init_state(bn, 1)
+    states = init_state(Network(bn.spec, bn.layers), 1)
+    with pytest.raises(ValueError, match=why):
+        forward_step(bn, np.zeros(3), states)
 
 
 def test_load_rejects_unknown_format(tmp_path):
@@ -552,15 +587,13 @@ def test_bidirectional_input_validation():
     x = np.zeros((2, 5, 4))                   # built for 3 channels
     why = "expected 3 input channels, got 4"
     with pytest.raises(ValueError, match=why):
-        forward_bidirectional(bn.forward_net, bn.backward_net, x)
-    with pytest.raises(ValueError, match=why):
-        forward_any(bn, x)
+        forward_sequence(bn, x)
     with pytest.raises(ValueError, match=why):
         evaluate(bn, SimpleNamespace(inputs=x, labels=np.zeros((2, 5), dtype=int)))
     bad = np.zeros((5, 3))
     bad[2, 1] = np.inf
     with pytest.raises(ValueError, match="non-finite"):
-        forward_bidirectional(bn.forward_net, bn.backward_net, bad)
+        forward_sequence(bn, bad)
 
 
 def test_spec_validation():
