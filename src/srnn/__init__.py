@@ -6,8 +6,9 @@ single-neuron dynamics (srnn.neurons), surrogate spike derivatives
 (srnn.network), the reverse-time training sweep with Adam and schedules
 (srnn.training), independent gradient oracles (srnn.gradcheck), spike
 encoders and decoders (srnn.codecs), operation and energy accounting
-(srnn.accounting), synthetic tasks and file loaders (srnn.datasets), and
-a command-line front end (srnn.cli).
+(srnn.accounting), synthetic tasks and file loaders (srnn.datasets), the
+reader of JSON documents (srnn.jsondoc), and a command-line front end
+(srnn.cli).
 """
 
 from srnn.accounting import (

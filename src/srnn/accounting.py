@@ -14,19 +14,19 @@ traffic is modeled.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import asdict, dataclass, field
+from typing import Literal, Optional, get_args
 
 import numpy as np
 
+from srnn.jsondoc import read
 from srnn.network import ForwardTrace, Network
 
 MAC_ENERGY_PJ = 3.1
 AC_ENERGY_PJ = 0.1
 
-SPIKING_ARCH_KINDS = ("lif", "alif", "readout")
-ANALOG_ARCH_KINDS = ("dense", "vanilla_rnn", "gru", "lstm")
-ARCH_KINDS = SPIKING_ARCH_KINDS + ANALOG_ARCH_KINDS
+ArchKind = Literal["lif", "alif", "readout", "dense", "vanilla_rnn", "gru", "lstm"]
+ARCH_KINDS = get_args(ArchKind)
 
 # state-update multiplies per neuron per step
 SNN_MAC_COEFF = {"alif": 3, "lif": 1, "readout": 1}
@@ -40,7 +40,7 @@ class ArchEntry:
     how the two directions of a bidirectional layer are described.
     """
 
-    kind: str
+    kind: ArchKind
     fan_in: int
     size: int
     recurrent: bool = False
@@ -91,13 +91,12 @@ class ArchDescription:
         return sum(e.synapses for e in self.layers)
 
     def to_dict(self) -> dict:
-        return {"layers": [{"kind": e.kind, "fan_in": e.fan_in, "size": e.size,
-                            "recurrent": e.recurrent, "copies": e.copies}
-                           for e in self.layers]}
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ArchDescription":
-        return cls(layers=[ArchEntry(**d) for d in doc["layers"]])
+        """Read an architecture file; raises ValueError naming the offending path."""
+        return read(cls, doc)
 
 
 @dataclass

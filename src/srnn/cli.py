@@ -1,22 +1,25 @@
 """Command-line entry point.
 
 Subcommands: train, eval, energy, gradcheck, gen. Configuration is a JSON
-document validated against the srnn-config/1 schema before any work
-happens; unknown keys are rejected. Exit codes: 0 success, 1 numeric or
-training failure, 2 usage or configuration error. The SRNN_LOG
-environment variable (error, info, debug) sets verbosity.
+document read into `Config` (format srnn-config/1) by srnn.jsondoc before
+any work happens: unknown keys, non-finite numbers and 1.0 for an integer
+are rejected, and absent keys take the dataclasses' defaults. Exit codes:
+0 success, 1 numeric or training failure, 2 usage or configuration error.
+The SRNN_LOG environment variable (error, info, debug) sets verbosity.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import logging
 import os
 import sys
+from dataclasses import dataclass, field
 from pathlib import Path
+from typing import ClassVar, Literal, Optional, Union
 
-import jsonschema
 import numpy as np
 
 from srnn.accounting import (
@@ -28,287 +31,186 @@ from srnn.accounting import (
 from srnn.codecs import anytime_csv_text, anytime_curve, encode_dataset
 from srnn.datasets import gen_pattern_classification, gen_streaming_waveform, \
     load_dataset, save_dataset, split
-from srnn.gradcheck import CHECK_MODES, grad_check
+from srnn.gradcheck import CheckMode, grad_check
+from srnn.jsondoc import SchemaError, read
 from srnn.network import (
-    DECODE_MODES,
-    NEURON_KINDS,
-    LayerSpec,
     NetworkSpec,
     forward_sequence,
     init_network,
     load_model,
     save_model,
 )
-from srnn.surrogates import SURROGATE_KINDS, surrogate_from_dict
-from srnn.training import (
-    LOSS_KINDS,
-    LinearToZero,
-    StepDecay,
-    TrainingConfig,
-    evaluate,
-    fit,
-    step_probs,
-)
+from srnn.training import TrainingConfig, evaluate, fit, step_probs
 
 log = logging.getLogger("srnn")
 
-CONFIG_FORMAT = "srnn-config/1"
 
-_NUM = {"type": "number"}
-_INT = {"type": "integer"}
-_BOOL = {"type": "boolean"}
-_PAIR = {"type": "array", "items": _NUM, "minItems": 2, "maxItems": 2}
+@dataclass
+class TaskSplit:
+    """How a task's samples are shuffled into train, val and test."""
 
-_LAYER_SCHEMA = {
-    "type": "object",
-    "additionalProperties": False,
-    "required": ["size"],
-    "properties": {
-        "size": _INT,
-        "neuron": {"enum": list(NEURON_KINDS)},
-        "recurrent": _BOOL,
-        "tau_m_init": _PAIR,
-        "tau_adp_init": {"anyOf": [_PAIR, {"type": "null"}]},
-        "theta": _NUM, "b_0": _NUM, "beta": _NUM,
-        "r_m": _NUM, "u_r": _NUM, "dt": _NUM,
-    },
-}
+    split: tuple[float, float, float] = (0.72, 0.08, 0.20)
+    split_seed: int = 0
 
-_NETWORK_SCHEMA = {
-    "type": "object",
-    "additionalProperties": False,
-    "required": ["input_size", "layers"],
-    "properties": {
-        "input_size": _INT,
-        "layers": {"type": "array", "items": _LAYER_SCHEMA, "minItems": 1},
-        "decode": {"enum": list(DECODE_MODES)},
-        "bidirectional": _BOOL,
-        "seed": _INT,
-        "zero_init_membrane": _BOOL,
-    },
-}
 
-_SURROGATE_SCHEMA = {
-    "type": "object",
-    "additionalProperties": False,
-    "required": ["kind"],
-    "properties": {
-        "kind": {"enum": list(SURROGATE_KINDS)},
-        "h": _NUM, "s": _NUM, "sigma": _NUM, "alpha": _NUM,
-    },
-}
+@dataclass
+class PatternTask(TaskSplit):
+    """Spike-timing classification drawn by gen_pattern_classification."""
 
-_SCHEDULE_SCHEMA = {
-    "anyOf": [
-        {"type": "null"},
-        {"type": "object", "additionalProperties": False,
-         "required": ["kind"],
-         "properties": {"kind": {"const": "step_decay"},
-                        "factor": _NUM, "every": _INT}},
-        {"type": "object", "additionalProperties": False,
-         "required": ["kind", "total_epochs"],
-         "properties": {"kind": {"const": "linear_to_zero"},
-                        "total_epochs": _INT}},
-    ]
-}
+    kind: ClassVar[str] = "pattern_classification"
+    n_classes: int = 4
+    t_steps: int = 50
+    channels: int = 20
+    jitter_std: float = 1.0
+    seed: int = 0
+    n_samples: int = 200
 
-_TRAINING_SCHEMA = {
-    "type": "object",
-    "additionalProperties": False,
-    "properties": {
-        "epochs": _INT, "lr": _NUM, "minibatch": _INT,
-        "surrogate": _SURROGATE_SCHEMA,
-        "schedule": _SCHEDULE_SCHEMA,
-        "loss": {"enum": list(LOSS_KINDS)},
-        "seed": _INT,
-        "train_tau_m": _BOOL, "train_tau_adp": _BOOL,
-        "chunk_size": _INT, "shuffle": _BOOL,
-    },
-}
 
-_SPLIT_SCHEMA = {"type": "array", "items": _NUM, "minItems": 3, "maxItems": 3}
+@dataclass
+class Encoding:
+    """Level-crossing thresholds of encode_dataset."""
 
-_TASK_SCHEMA = {
-    "anyOf": [
-        {"type": "object", "additionalProperties": False,
-         "required": ["kind"],
-         "properties": {
-             "kind": {"const": "pattern_classification"},
-             "n_classes": _INT, "t_steps": _INT, "channels": _INT,
-             "jitter_std": _NUM, "seed": _INT, "n_samples": _INT,
-             "split": _SPLIT_SCHEMA, "split_seed": _INT,
-         }},
-        {"type": "object", "additionalProperties": False,
-         "required": ["kind"],
-         "properties": {
-             "kind": {"const": "streaming_waveform"},
-             "k": _INT, "segment_len": _INT, "segments_per_sample": _INT,
-             "noise_std": _NUM, "seed": _INT, "n_samples": _INT,
-             "split": _SPLIT_SCHEMA, "split_seed": _INT,
-             "zscore": _BOOL,
-             "encode": {"anyOf": [
-                 {"type": "null"},
-                 {"type": "object", "additionalProperties": False,
-                  "properties": {"up": _NUM, "down": _NUM}}]},
-         }},
-        {"type": "object", "additionalProperties": False,
-         "required": ["kind", "dir"],
-         "properties": {
-             "kind": {"const": "files"},
-             "dir": {"type": "string"},
-             "split": _SPLIT_SCHEMA, "split_seed": _INT,
-         }},
-    ]
-}
+    up: float = 0.3
+    down: float = 0.3
 
-_CHECK_SCHEMA = {
-    "type": "object",
-    "additionalProperties": False,
-    "properties": {
-        "modes": {"type": "array",
-                  "items": {"enum": list(CHECK_MODES)},
-                  "minItems": 1},
-        "tol_rel": _NUM, "tol_abs": _NUM,
-        "t_steps": _INT, "batch": _INT, "seed": _INT,
-    },
-}
 
-CONFIG_SCHEMA = {
-    "type": "object",
-    "additionalProperties": False,
-    "required": ["format", "network"],
-    "properties": {
-        "format": {"const": CONFIG_FORMAT},
-        "network": _NETWORK_SCHEMA,
-        "training": _TRAINING_SCHEMA,
-        "task": _TASK_SCHEMA,
-        "outputs": {"type": "object", "additionalProperties": False,
-                    "required": ["dir"],
-                    "properties": {"dir": {"type": "string"}}},
-        "check": _CHECK_SCHEMA,
-    },
-}
+@dataclass
+class StreamingTask(TaskSplit):
+    """Per-step waveform labels drawn by gen_streaming_waveform."""
+
+    kind: ClassVar[str] = "streaming_waveform"
+    k: int = 3
+    segment_len: int = 25
+    segments_per_sample: int = 4
+    noise_std: float = 0.02
+    seed: int = 0
+    n_samples: int = 100
+    zscore: bool = False
+    encode: Optional[Encoding] = None
+
+
+@dataclass(kw_only=True)
+class FilesTask(TaskSplit):
+    """A dataset directory written by save_dataset (or `srnn gen`)."""
+
+    kind: ClassVar[str] = "files"
+    dir: str
+
+
+@dataclass
+class Outputs:
+    dir: str
+
+
+@dataclass
+class CheckConfig:
+    modes: Optional[list[CheckMode]] = None  # None: every mode the network takes
+    tol_rel: float = 1e-4
+    tol_abs: float = 1e-8
+    t_steps: int = 12
+    batch: int = 1
+    seed: int = 0
+
+    def __post_init__(self):
+        if self.modes == []:
+            raise ValueError("modes must name at least one check")
+        if self.t_steps < 1 or self.batch < 1:
+            raise ValueError("t_steps and batch must be at least 1")
+        if self.seed < 0:
+            raise ValueError("seed must be non-negative")
+
+
+@dataclass
+class Config:
+    """One srnn-config/1 document; a section left out is None."""
+
+    format: Literal["srnn-config/1"]
+    network: NetworkSpec
+    training: Optional[TrainingConfig] = None
+    task: Optional[Union[PatternTask, StreamingTask, FilesTask]] = None
+    outputs: Optional[Outputs] = None
+    check: CheckConfig = field(default_factory=CheckConfig)
 
 
 class UsageError(Exception):
     """Configuration or invocation problem; maps to exit code 2."""
 
 
-def _load_config(path) -> dict:
+def _read_file(tp, path, what: str):
+    """Read a JSON file into a `tp`; any fault in it is a UsageError."""
     if not os.path.exists(path):
-        raise UsageError(f"config file not found: {path}")
+        raise UsageError(f"{what} not found: {path}")
     try:
         with open(path) as f:
             doc = json.load(f)
-    except json.JSONDecodeError as e:
+    except ValueError as e:  # JSONDecodeError, or bytes that are not UTF-8
         raise UsageError(f"{path}: invalid JSON: {e}") from None
     try:
-        jsonschema.validate(doc, CONFIG_SCHEMA)
-    except jsonschema.ValidationError as e:
-        where = "/".join(str(p) for p in e.absolute_path) or "(top level)"
-        raise UsageError(f"{path}: schema violation at {where}: {e.message}") from None
-    return doc
+        return read(tp, doc)
+    except SchemaError as e:
+        raise UsageError(f"{path}: {e}") from None
 
 
-def _network_spec(d: dict, seed_override=None) -> NetworkSpec:
+def _with_seed(section, seed):
+    """The section with its seed replaced by --seed, when that flag is given."""
+    if seed is None:
+        return section
     try:
-        layers = []
-        for ld in d["layers"]:
-            ld = dict(ld)
-            if "tau_m_init" in ld:
-                ld["tau_m_init"] = tuple(ld["tau_m_init"])
-            if ld.get("tau_adp_init") is not None:
-                ld["tau_adp_init"] = tuple(ld["tau_adp_init"])
-            layers.append(LayerSpec(**ld))
-        return NetworkSpec(
-            input_size=d["input_size"], layers=layers,
-            decode=d.get("decode", "spike_count"),
-            bidirectional=d.get("bidirectional", False),
-            seed=d.get("seed", 0) if seed_override is None else seed_override,
-            zero_init_membrane=d.get("zero_init_membrane", False))
-    except (ValueError, TypeError) as e:
-        raise UsageError(f"bad network section: {e}") from None
-
-
-def _schedule_from_dict(d):
-    if d is None:
-        return None
-    if d["kind"] == "step_decay":
-        return StepDecay(factor=d.get("factor", 0.5), every=d.get("every", 20))
-    return LinearToZero(total_epochs=d["total_epochs"])
-
-
-def _training_config(d: dict, seed_override=None) -> TrainingConfig:
-    try:
-        kwargs = dict(d)
-        if "surrogate" in kwargs:
-            kwargs["surrogate"] = surrogate_from_dict(kwargs["surrogate"])
-        if "schedule" in kwargs:
-            kwargs["schedule"] = _schedule_from_dict(kwargs["schedule"])
-        if seed_override is not None:
-            kwargs["seed"] = seed_override
-        return TrainingConfig(**kwargs)
-    except (ValueError, TypeError) as e:
-        raise UsageError(f"bad training section: {e}") from None
+        return dataclasses.replace(section, seed=seed)
+    except ValueError as e:
+        raise UsageError(f"--seed: {e}") from None
 
 
 def _zscore(ds):
-    from srnn.datasets import Dataset
-    mean = ds.inputs.mean()
     std = ds.inputs.std()
     if std == 0:
         raise UsageError("cannot z-score a constant dataset")
-    return Dataset(inputs=(ds.inputs - mean) / std, labels=ds.labels,
-                   kind=ds.kind, n_classes=ds.n_classes)
+    return dataclasses.replace(ds, inputs=(ds.inputs - ds.inputs.mean()) / std)
 
 
-def _build_task(task: dict):
+def _read_dataset(path):
+    try:
+        return load_dataset(path)
+    except FileNotFoundError as e:
+        raise UsageError(f"dataset not found: {e.filename}") from None
+    except ValueError as e:
+        raise UsageError(f"bad dataset: {e}") from None
+
+
+def _build_task(task):
     """Materialize the configured dataset; returns (train, val, test)."""
-    kind = task["kind"]
-    ratios = tuple(task.get("split", (0.72, 0.08, 0.20)))
-    split_seed = task.get("split_seed", 0)
-    if kind == "pattern_classification":
-        try:
-            ds = gen_pattern_classification(
-                n_classes=task.get("n_classes", 4),
-                t_steps=task.get("t_steps", 50),
-                channels=task.get("channels", 20),
-                jitter_std=task.get("jitter_std", 1.0),
-                seed=task.get("seed", 0), n_samples=task.get("n_samples", 200))
-        except ValueError as e:
-            raise UsageError(f"bad task section: {e}") from None
-    elif kind == "streaming_waveform":
-        try:
-            ds = gen_streaming_waveform(
-                k=task.get("k", 3), segment_len=task.get("segment_len", 25),
-                segments_per_sample=task.get("segments_per_sample", 4),
-                noise_std=task.get("noise_std", 0.02),
-                seed=task.get("seed", 0), n_samples=task.get("n_samples", 100))
-            if task.get("zscore", False):
-                ds = _zscore(ds)
-            enc = task.get("encode")
-            if enc is not None:
-                ds = encode_dataset(ds, up=enc.get("up", 0.3),
-                                    down=enc.get("down", 0.3))
-        except ValueError as e:
-            raise UsageError(f"bad task section: {e}") from None
+    if isinstance(task, FilesTask):
+        ds = _read_dataset(task.dir)
     else:
         try:
-            ds = load_dataset(task["dir"])
-        except FileNotFoundError as e:
-            raise UsageError(f"dataset not found: {e.filename}") from None
+            if isinstance(task, PatternTask):
+                ds = gen_pattern_classification(
+                    n_classes=task.n_classes, t_steps=task.t_steps,
+                    channels=task.channels, jitter_std=task.jitter_std,
+                    seed=task.seed, n_samples=task.n_samples)
+            else:
+                ds = gen_streaming_waveform(
+                    k=task.k, segment_len=task.segment_len,
+                    segments_per_sample=task.segments_per_sample,
+                    noise_std=task.noise_std, seed=task.seed,
+                    n_samples=task.n_samples)
+                if task.zscore:
+                    ds = _zscore(ds)
+                if task.encode is not None:
+                    ds = encode_dataset(ds, up=task.encode.up, down=task.encode.down)
         except ValueError as e:
-            raise UsageError(f"bad dataset: {e}") from None
+            raise UsageError(f"bad task section: {e}") from None
     try:
-        return split(ds, ratios, seed=split_seed)
+        return split(ds, task.split, seed=task.split_seed)
     except ValueError as e:
         raise UsageError(f"bad task split: {e}") from None
 
 
-def _require(doc: dict, section: str, command: str):
-    if section not in doc:
+def _require(cfg: Config, section: str, command: str):
+    value = getattr(cfg, section)
+    if value is None:
         raise UsageError(f"'{command}' needs a '{section}' section in the config")
-    return doc[section]
+    return value
 
 
 def _write_cost_report(net, data, out_dir: Path) -> None:
@@ -320,15 +222,18 @@ def _write_cost_report(net, data, out_dir: Path) -> None:
 
 
 def cmd_train(args) -> int:
-    doc = _load_config(args.config)
-    net_spec = _network_spec(doc["network"], seed_override=args.seed)
-    tc = _training_config(_require(doc, "training", "train"),
-                          seed_override=args.seed)
-    train_ds, val_ds, test_ds = _build_task(_require(doc, "task", "train"))
+    if args.threads < 1:
+        raise UsageError(f"--threads must be at least 1, got {args.threads}")
+    cfg = _read_file(Config, args.config, "config file")
+    net_spec = _with_seed(cfg.network, args.seed)
+    tc = _with_seed(_require(cfg, "training", "train"), args.seed)
+    train_ds, val_ds, test_ds = _build_task(_require(cfg, "task", "train"))
+    if not train_ds.n_samples:
+        raise UsageError("the task's train split holds no samples")
     if train_ds.channels != net_spec.input_size:
         raise UsageError(f"network expects {net_spec.input_size} input "
                          f"channels but the task provides {train_ds.channels}")
-    out_dir = Path(_require(doc, "outputs", "train")["dir"])
+    out_dir = Path(_require(cfg, "outputs", "train").dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     eval_ds = val_ds if val_ds.n_samples else None
     log.info("training for %d epochs on %d samples", tc.epochs, train_ds.n_samples)
@@ -358,12 +263,7 @@ def _load_model_file(path):
 
 def _load_data_for(net, path):
     """Load a dataset directory and check its width against the model's input."""
-    try:
-        data = load_dataset(path)
-    except FileNotFoundError as e:
-        raise UsageError(f"dataset not found: {e.filename}") from None
-    except ValueError as e:
-        raise UsageError(f"bad dataset: {e}") from None
+    data = _read_dataset(path)
     if data.channels != net.spec.input_size:
         raise UsageError(f"model expects {net.spec.input_size} input channels "
                          f"but the dataset has {data.channels}")
@@ -412,10 +312,7 @@ def cmd_energy(args) -> int:
     else:
         if args.fr is None:
             raise UsageError("--arch needs an explicit --fr")
-        if not os.path.exists(args.arch):
-            raise UsageError(f"architecture file not found: {args.arch}")
-        with open(args.arch) as f:
-            arch = ArchDescription.from_dict(json.load(f))
+        arch = _read_file(ArchDescription, args.arch, "architecture file")
         fr = args.fr
     if not 0.0 <= fr <= 1.0:
         raise UsageError(f"firing rate must lie in [0, 1], got {fr}")
@@ -430,22 +327,15 @@ def cmd_energy(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
-    doc = _load_config(args.config)
-    check = doc.get("check", {})
-    seed = args.seed if args.seed is not None else check.get("seed", 0)
-    net_spec = _network_spec(doc["network"], seed_override=seed)
-    modes = check.get("modes", ["relu_exact"] if net_spec.bidirectional
-                      else ["relu_exact", "surrogate_consistency"])
+    cfg = _read_file(Config, args.config, "config file")
+    check = _with_seed(cfg.check, args.seed)
+    net_spec, seed = cfg.network, check.seed
+    modes = check.modes or (["relu_exact"] if net_spec.bidirectional
+                            else ["relu_exact", "surrogate_consistency"])
     if net_spec.bidirectional and "surrogate_consistency" in modes:
         raise UsageError("surrogate_consistency covers plain stacks only; "
                          "check a bidirectional network with relu_exact")
-    tol_rel = check.get("tol_rel", 1e-4)
-    tol_abs = check.get("tol_abs", 1e-8)
-    t_steps = check.get("t_steps", 12)
-    batch = check.get("batch", 1)
-    surrogate = None
-    if "training" in doc and "surrogate" in doc["training"]:
-        surrogate = surrogate_from_dict(doc["training"]["surrogate"])
+    surrogate = cfg.training.surrogate if cfg.training else None
     n_classes = net_spec.layers[-1].size
     ok = True
     for mode in modes:
@@ -453,8 +343,8 @@ def cmd_gradcheck(args) -> int:
         for attempt in range(8):
             rng = np.random.default_rng([seed, attempt])
             net = init_network(net_spec, seed=seed + attempt)
-            x = rng.standard_normal((batch, t_steps, net_spec.input_size))
-            targets = rng.integers(n_classes, size=batch)
+            x = rng.standard_normal((check.batch, check.t_steps, net_spec.input_size))
+            targets = rng.integers(n_classes, size=check.batch)
             try:
                 report = grad_check(net, x, targets, mode=mode,
                                     surrogate=surrogate)
@@ -466,8 +356,8 @@ def cmd_gradcheck(args) -> int:
             print(f"{mode}: no usable sample found")
             ok = False
             continue
-        passed = (report.max_rel_err < tol_rel if mode == "relu_exact"
-                  else report.max_abs_err < tol_abs)
+        passed = (report.max_rel_err < check.tol_rel if mode == "relu_exact"
+                  else report.max_abs_err < check.tol_abs)
         ok = ok and passed
         print(f"{mode}: max rel err {report.max_rel_err:.3e}  "
               f"max abs err {report.max_abs_err:.3e}  "
@@ -477,9 +367,8 @@ def cmd_gradcheck(args) -> int:
 
 
 def cmd_gen(args) -> int:
-    doc = _load_config(args.config)
-    task = _require(doc, "task", "gen")
-    if task["kind"] == "files":
+    task = _require(_read_file(Config, args.config, "config file"), "task", "gen")
+    if isinstance(task, FilesTask):
         raise UsageError("'gen' needs a generator task, not 'files'")
     train_ds, val_ds, test_ds = _build_task(task)
     out_dir = Path(args.out)

@@ -20,6 +20,7 @@ File formats kept deliberately plain:
 from __future__ import annotations
 
 import json
+import math
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -187,7 +188,8 @@ def load_dense_csv(path, t_steps: int, channels: int) -> Dataset:
     """Read label,v0,...,v{N-1} rows grouped into samples of t_steps rows.
 
     A constant label column within a sample means sequence classification;
-    a varying one means streaming (applied uniformly over the file).
+    a varying one means streaming (applied uniformly over the file). A
+    field that is not a finite number fails, naming the file and line.
     """
     rows = []
     with open(path) as f:
@@ -200,9 +202,12 @@ def load_dense_csv(path, t_steps: int, channels: int) -> Dataset:
                 raise _parse_error(path, line_no,
                                    f"expected {channels + 1} fields, got {len(parts)}")
             try:
-                rows.append([float(p) for p in parts])
+                row = [float(p) for p in parts]
             except ValueError:
                 raise _parse_error(path, line_no, "non-numeric field") from None
+            if not all(map(math.isfinite, row)):
+                raise _parse_error(path, line_no, "non-finite field")
+            rows.append(row)
     if not rows or len(rows) % t_steps != 0:
         raise ValueError(f"{path}: row count {len(rows)} is not a multiple "
                          f"of t_steps={t_steps}")

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Literal, Optional, get_args
 
 import numpy as np
 
@@ -38,7 +38,8 @@ from srnn.training import (
     zero_grads,
 )
 
-CHECK_MODES = ("relu_exact", "surrogate_consistency")
+CheckMode = Literal["relu_exact", "surrogate_consistency"]
+CHECK_MODES = get_args(CheckMode)
 
 
 class Node:

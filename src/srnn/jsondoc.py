@@ -1,0 +1,102 @@
+"""Read decoded JSON into the dataclasses that describe it.
+
+One reader serves every JSON document the package takes in: CLI configs,
+the specs in model files, architecture files and surrogate records. It
+walks a dataclass's fields and checks each value against the annotation:
+an int must be a JSON integer (not a bool, not 1.0), a float a finite
+number (so NaN, Infinity and 1e400 fail), bool and str exactly that type,
+Literal one of its values, tuple[X, Y] a list of that length, list[X] a
+list, Optional[X] null or X. Unknown keys fail, and so do missing fields
+without a default. A Union of dataclasses is an object whose "kind" key
+names the member by the member's `kind` class attribute.
+
+Values are kept as decoded (an integer given for a float stays one), so a
+document read and written back with dataclasses.asdict keeps its bytes.
+A ValueError from __post_init__ is reported at the object's path.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import math
+import sys
+from typing import Literal, Union, get_args, get_origin, get_type_hints
+
+
+class SchemaError(ValueError):
+    """A JSON document that does not fit the dataclass it describes."""
+
+    def __init__(self, path: str, why: str):
+        super().__init__(f"schema violation at {path or '(top level)'}: {why}")
+
+
+def read(tp, doc, path: str = "", complete: bool = False):
+    """Build a `tp` (a dataclass or a tagged union of them) from decoded JSON.
+
+    `path` names where `doc` sits in a larger document. With `complete`,
+    fields with defaults must be given too, as in files the package wrote.
+    """
+    return _read(tp, doc, path, "", complete)
+
+
+_SCALARS = {
+    int: ("an integer", lambda v: type(v) is int),
+    float: ("a finite number", lambda v: math.isfinite(v) if type(v) is float
+            else type(v) is int and abs(v) <= sys.float_info.max),
+    bool: ("true or false", lambda v: type(v) is bool),
+    str: ("a string", lambda v: type(v) is str),
+}
+
+
+def _read(tp, v, path: str, name: str, complete: bool):
+    """Read `v` as a `tp`; `name` is the field it belongs to."""
+    at = lambda key: f"{path}/{key}" if path else str(key)
+    origin, args = get_origin(tp), get_args(tp)
+    if origin is Union:
+        members = [m for m in args if m is not type(None)]
+        if v is None and len(members) < len(args):
+            return None
+        if len(members) == 1:
+            return _read(members[0], v, path, name, complete)
+        kinds = {m.kind: m for m in members}
+        if type(v) is not dict:
+            raise SchemaError(path, f"expected an object, got {type(v).__name__}")
+        if v.get("kind") not in tuple(kinds):
+            raise SchemaError(at("kind"), f"kind must be one of {tuple(kinds)}, "
+                                          f"got {v.get('kind')!r}")
+        rest = {k: x for k, x in v.items() if k != "kind"}
+        return _read(kinds[v["kind"]], rest, path, name, complete)
+    if origin is Literal:
+        if v not in args:
+            raise SchemaError(path, f"{name} must be one of {args}, got {v!r}")
+        return v
+    if origin in (list, tuple):
+        if type(v) is not list or (origin is tuple and len(v) != len(args)):
+            what = f"a list of {len(args)}" if origin is tuple else "a list"
+            raise SchemaError(path, f"expected {what}, got {v!r}")
+        items = [_read(args[i] if origin is tuple else args[0], x, at(i), name, complete)
+                 for i, x in enumerate(v)]
+        return tuple(items) if origin is tuple else items
+    if not dataclasses.is_dataclass(tp):
+        what, ok = _SCALARS[tp]
+        if not ok(v):
+            raise SchemaError(path, f"expected {what}, got {v!r}")
+        return v
+    if type(v) is not dict:
+        raise SchemaError(path, f"expected an object, got {type(v).__name__}")
+    fields = {f.name: f for f in dataclasses.fields(tp)}
+    for key in v:
+        if key not in fields:
+            raise SchemaError(path, f"unknown key {key!r}")
+    hints = get_type_hints(tp)
+    kwargs = {}
+    for key, f in fields.items():
+        if key in v:
+            kwargs[key] = _read(hints[key], v[key], at(key), key, complete)
+        elif complete or (f.default is dataclasses.MISSING
+                          and f.default_factory is dataclasses.MISSING):
+            raise SchemaError(path, f"missing key {key!r}")
+    try:
+        return tp(**kwargs)
+    except ValueError as e:
+        raise SchemaError(path, str(e)) from None

@@ -57,22 +57,26 @@ exists for gradient verification, not for deployment.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import asdict, dataclass, field, fields
+from typing import Literal, Optional, get_args
 
 import numpy as np
 
+from srnn.jsondoc import read
+
 MODEL_FORMAT = "srnn-model/1"
 
-NEURON_KINDS = ("lif", "alif", "relu", "readout")
+NeuronKind = Literal["lif", "alif", "relu", "readout"]
+NEURON_KINDS = get_args(NeuronKind)
 SPIKING_KINDS = ("lif", "alif")
-DECODE_MODES = ("spike_count", "membrane_softmax", "spiking_membrane_softmax")
+DecodeMode = Literal["spike_count", "membrane_softmax", "spiking_membrane_softmax"]
+DECODE_MODES = get_args(DecodeMode)
 
 
 @dataclass
 class LayerSpec:
     size: int
-    neuron: str = "alif"
+    neuron: NeuronKind = "alif"
     recurrent: bool = False
     tau_m_init: tuple[float, float] = (20.0, 5.0)
     tau_adp_init: Optional[tuple[float, float]] = None
@@ -105,7 +109,7 @@ class LayerSpec:
 class NetworkSpec:
     input_size: int
     layers: list[LayerSpec]
-    decode: str = "spike_count"
+    decode: DecodeMode = "spike_count"
     bidirectional: bool = False
     seed: int = 0
     zero_init_membrane: bool = False
@@ -113,6 +117,8 @@ class NetworkSpec:
     def __post_init__(self):
         if self.input_size < 1:
             raise ValueError("input_size must be at least 1")
+        if self.seed < 0:
+            raise ValueError("seed must be non-negative")
         if not self.layers:
             raise ValueError("at least one layer is required")
         if self.decode not in DECODE_MODES:
@@ -474,56 +480,16 @@ def forward_sequence(net: Network, x, soft: bool = False) -> ForwardTrace:
                         merged=merged)
 
 
-def _layer_spec_to_dict(s: LayerSpec) -> dict:
-    return {"size": s.size, "neuron": s.neuron, "recurrent": s.recurrent,
-            "tau_m_init": list(s.tau_m_init),
-            "tau_adp_init": list(s.tau_adp_init) if s.tau_adp_init else None,
-            "theta": s.theta, "b_0": s.b_0, "beta": s.beta,
-            "r_m": s.r_m, "u_r": s.u_r, "dt": s.dt}
-
-
 def _layer_to_dict(layer: Layer) -> dict:
-    return {
-        "spec": _layer_spec_to_dict(layer.spec),
-        "w_in": layer.w_in.tolist(),
-        "w_rec": layer.w_rec.tolist() if layer.w_rec is not None else None,
-        "bias": layer.bias.tolist(),
-        "tau_m": layer.tau_m.tolist(),
-        "tau_adp": layer.tau_adp.tolist() if layer.tau_adp is not None else None,
-        "u_init": layer.u_init.tolist(),
-    }
+    arrays = {f.name: getattr(layer, f.name) for f in fields(Layer) if f.name != "spec"}
+    return {"spec": asdict(layer.spec),
+            **{k: None if a is None else a.tolist() for k, a in arrays.items()}}
 
 
-def _layer_from_dict(d: dict) -> Layer:
-    sd = dict(d["spec"])
-    sd["tau_m_init"] = tuple(sd["tau_m_init"])
-    if sd.get("tau_adp_init") is not None:
-        sd["tau_adp_init"] = tuple(sd["tau_adp_init"])
-    spec = LayerSpec(**sd)
-    arr = lambda v: None if v is None else np.asarray(v, dtype=float)
-    return Layer(spec=spec, w_in=arr(d["w_in"]), w_rec=arr(d["w_rec"]),
-                 bias=arr(d["bias"]), tau_m=arr(d["tau_m"]),
-                 tau_adp=arr(d["tau_adp"]), u_init=arr(d["u_init"]))
-
-
-def _spec_to_dict(spec: NetworkSpec) -> dict:
-    return {"input_size": spec.input_size, "decode": spec.decode,
-            "bidirectional": spec.bidirectional, "seed": spec.seed,
-            "zero_init_membrane": spec.zero_init_membrane,
-            "layers": [_layer_spec_to_dict(ls) for ls in spec.layers]}
-
-
-def _spec_from_dict(d: dict) -> NetworkSpec:
-    layers = []
-    for ld in d["layers"]:
-        ld = dict(ld)
-        ld["tau_m_init"] = tuple(ld["tau_m_init"])
-        if ld.get("tau_adp_init") is not None:
-            ld["tau_adp_init"] = tuple(ld["tau_adp_init"])
-        layers.append(LayerSpec(**ld))
-    return NetworkSpec(input_size=d["input_size"], layers=layers,
-                       decode=d["decode"], bidirectional=d["bidirectional"],
-                       seed=d["seed"], zero_init_membrane=d["zero_init_membrane"])
+def _layer_from_dict(d: dict, path: str) -> Layer:
+    arrays = {f.name: None if d[f.name] is None else np.asarray(d[f.name], dtype=float)
+              for f in fields(Layer) if f.name != "spec"}
+    return Layer(spec=read(LayerSpec, d["spec"], f"{path}/spec", complete=True), **arrays)
 
 
 def _stack_keys(spec: NetworkSpec) -> tuple[str, Optional[str]]:
@@ -534,7 +500,7 @@ def _stack_keys(spec: NetworkSpec) -> tuple[str, Optional[str]]:
 def save_model(net: Network, path) -> None:
     """Write a network to a JSON model file (format srnn-model/1)."""
     front, back = _stack_keys(net.spec)
-    doc = {"format": MODEL_FORMAT, "spec": _spec_to_dict(net.spec),
+    doc = {"format": MODEL_FORMAT, "spec": asdict(net.spec),
            front: [_layer_to_dict(l) for l in net.layers]}
     if back:
         doc[back] = [_layer_to_dict(l) for l in net.back]
@@ -575,9 +541,10 @@ def load_model(path) -> Network:
     """Read a JSON model file written by save_model.
 
     A file that is not a well-formed model raises ValueError: a missing
-    entry is named by its key, and an array that contradicts the spec (its
-    shape, presence, finiteness, or a time constant below dt) by its layer
-    and field.
+    entry is named by its key, a spec is read by srnn.jsondoc with every
+    field required and is named by its path, and an array that contradicts
+    the spec (its shape, presence, finiteness, or a time constant below dt)
+    by its layer and field.
     """
     with open(path) as f:
         doc = json.load(f)
@@ -586,12 +553,13 @@ def load_model(path) -> Network:
     if doc.get("format") != MODEL_FORMAT:
         raise ValueError(f"unsupported model format: {doc.get('format')!r}")
     try:
-        spec = _spec_from_dict(doc["spec"])
+        spec = read(NetworkSpec, doc["spec"], "spec", complete=True)
         front, back = _stack_keys(spec)
-        net = Network(spec=spec, layers=[_layer_from_dict(d) for d in doc[front]])
+        net = Network(spec=spec, layers=[_layer_from_dict(d, f"{front}/{i}")
+                                         for i, d in enumerate(doc[front])])
         _check_stack(net.layers, spec.layers, spec.input_size, front)
         if back:
-            net.back = [_layer_from_dict(d) for d in doc[back]]
+            net.back = [_layer_from_dict(d, f"{back}/{i}") for i, d in enumerate(doc[back])]
             _check_stack(net.back, spec.layers[:-1], spec.input_size, back)
     except KeyError as e:
         raise ValueError(f"model file lacks key {e.args[0]!r}") from None

@@ -3,16 +3,19 @@
 The spike S = H(u - theta) has zero derivative almost everywhere, so
 backward passes substitute a pseudo-derivative evaluated on the centered
 membrane x = u - theta. Four shapes are provided; each is a small frozen
-dataclass so a configured surrogate can travel with a training run.
+dataclass so a configured surrogate can travel with a training run. Its
+`kind` class attribute is its name in configs.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Union
+from dataclasses import asdict, dataclass
+from typing import ClassVar, Union, get_args
 
 import numpy as np
+
+from srnn.jsondoc import read
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
@@ -42,6 +45,7 @@ class MultiGaussian:
     The flanks dip the curve below zero away from threshold.
     """
 
+    kind: ClassVar[str] = "multi_gaussian"
     h: float = 0.15
     s: float = 6.0
     sigma: float = 0.5
@@ -55,6 +59,7 @@ class MultiGaussian:
 
 @dataclass(frozen=True)
 class Gaussian:
+    kind: ClassVar[str] = "gaussian"
     sigma: float = 0.5
 
     def __post_init__(self):
@@ -66,6 +71,7 @@ class Gaussian:
 class Linear:
     """Triangular window max(0, 1 - alpha*|x|)."""
 
+    kind: ClassVar[str] = "linear"
     alpha: float = 1.0
 
     def __post_init__(self):
@@ -77,6 +83,7 @@ class Linear:
 class SLayer:
     """Two-sided exponential exp(-alpha*|x|)."""
 
+    kind: ClassVar[str] = "slayer"
     alpha: float = 5.0
 
     def __post_init__(self):
@@ -86,9 +93,7 @@ class SLayer:
 
 SurrogateKind = Union[MultiGaussian, Gaussian, Linear, SLayer]
 
-# Config name of each surrogate class, both ways through one map.
-SURROGATE_KINDS = {"multi_gaussian": MultiGaussian, "gaussian": Gaussian,
-                   "linear": Linear, "slayer": SLayer}
+SURROGATE_KINDS = {cls.kind: cls for cls in get_args(SurrogateKind)}
 
 
 def mg_grad(u, theta, h: float = 0.15, s: float = 6.0, sigma: float = 0.5):
@@ -132,15 +137,9 @@ def surrogate_grad(kind: SurrogateKind, u, theta):
 
 
 def surrogate_to_dict(kind: SurrogateKind) -> dict:
-    names = {cls: name for name, cls in SURROGATE_KINDS.items()}
-    d = {"kind": names[type(kind)]}
-    d.update(kind.__dict__)
-    return d
+    return {"kind": kind.kind, **asdict(kind)}
 
 
 def surrogate_from_dict(d: dict) -> SurrogateKind:
-    d = dict(d)
-    name = d.pop("kind")
-    if name not in SURROGATE_KINDS:
-        raise ValueError(f"unknown surrogate kind: {name!r}")
-    return SURROGATE_KINDS[name](**d)
+    """Read a surrogate record; raises ValueError naming the offending key."""
+    return read(SurrogateKind, d)

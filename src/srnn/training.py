@@ -40,7 +40,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Optional, Union
+from typing import ClassVar, Literal, Optional, Union, get_args
 
 import numpy as np
 
@@ -59,7 +59,8 @@ from srnn.network import (
 )
 from srnn.surrogates import MultiGaussian, SurrogateKind, surrogate_grad
 
-LOSS_KINDS = ("ce", "nll_streaming")
+LossKind = Literal["ce", "nll_streaming"]
+LOSS_KINDS = get_args(LossKind)
 
 
 def _softmax(z: np.ndarray, axis: int = -1) -> np.ndarray:
@@ -94,6 +95,7 @@ def loss_streaming(y_hat_seq, labels) -> float:
 
 @dataclass
 class StepDecay:
+    kind: ClassVar[str] = "step_decay"
     factor: float = 0.5
     every: int = 20
 
@@ -104,6 +106,7 @@ class StepDecay:
 
 @dataclass
 class LinearToZero:
+    kind: ClassVar[str] = "linear_to_zero"
     total_epochs: int
 
     def __post_init__(self):
@@ -111,6 +114,7 @@ class LinearToZero:
             raise ValueError("total_epochs must be at least 1")
 
 
+# A schedule's `kind` class attribute is its name in configs.
 Schedule = Union[StepDecay, LinearToZero, None]
 
 
@@ -489,7 +493,7 @@ class TrainingConfig:
     minibatch: int = 32
     surrogate: SurrogateKind = field(default_factory=MultiGaussian)
     schedule: Schedule = None
-    loss: str = "ce"
+    loss: LossKind = "ce"
     seed: int = 0
     train_tau_m: bool = True
     train_tau_adp: bool = True
@@ -505,6 +509,8 @@ class TrainingConfig:
             raise ValueError("minibatch and chunk_size must be at least 1")
         if self.loss not in LOSS_KINDS:
             raise ValueError(f"loss must be one of {LOSS_KINDS}")
+        if self.seed < 0:
+            raise ValueError("seed must be non-negative")
 
 
 @dataclass

@@ -2,9 +2,14 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import srnn
 from srnn.cli import main
 from srnn.network import LayerSpec, NetworkSpec, init_network, save_model
 
@@ -297,6 +302,8 @@ def test_malformed_model_files_exit_2(tmp_path, capsys):
 
     aliased = json.loads(json.dumps(good))
     aliased["spec"]["layers"][1]["neuron"] = "spiking_output"
+    undecoded = json.loads(json.dumps(good))
+    del undecoded["spec"]["decode"]
     cases = {
         "bare.json": (json.dumps({"format": "srnn-model/1"}), "'spec'"),
         "truncated.json": ('{"format": "srnn-model/1", "spec": {', "Expecting"),
@@ -312,6 +319,7 @@ def test_malformed_model_files_exit_2(tmp_path, capsys):
         "stray_w_rec.json": (edited((1, "w_rec", [[0.0] * 2] * 2)),
                              "layers[1].w_rec: expected null"),
         "alias.json": (json.dumps(aliased), "neuron must be one of"),
+        "undecoded.json": (json.dumps(undecoded), "missing key 'decode'"),
     }
     for name, (text, why) in cases.items():
         path = tmp_path / name
@@ -381,3 +389,108 @@ def test_log_level_validation(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("SRNN_LOG", "info")
     cfg = pattern_config(tmp_path, out_name="lg", epochs=0)
     assert main(["train", "--config", cfg]) == 0
+
+
+RAW_1E400 = "@1e400@"  # written into the config text as the bare number 1e400
+
+# Config mutations: (path of the value, new value, text the error must hold).
+CONFIG_MUTATIONS = {
+    "network-int-as-float": ("network/layers/0/size", 8.0, "network/layers/0/size"),
+    "network-nan": ("network/layers/0/beta", math.nan, "network/layers/0/beta"),
+    "network-infinity": ("network/layers/0/tau_m_init/0", math.inf,
+                         "network/layers/0/tau_m_init/0"),
+    "network-1e400": ("network/layers/0/b_0", RAW_1E400, "network/layers/0/b_0"),
+    "training-int-as-float": ("training/epochs", 1.0, "training/epochs"),
+    "training-nan": ("training/lr", math.nan, "training/lr"),
+    "training-infinity": ("training/lr", math.inf, "training/lr"),
+    "training-1e400": ("training/lr", RAW_1E400, "training/lr"),
+    "task-int-as-float": ("task/n_samples", 20.0, "task/n_samples"),
+    "task-nan": ("task/jitter_std", math.nan, "task/jitter_std"),
+    "task-infinity": ("task/jitter_std", math.inf, "task/jitter_std"),
+    "task-1e400": ("task/jitter_std", RAW_1E400, "task/jitter_std"),
+    "check-int-as-float": ("check/t_steps", 8.0, "check/t_steps"),
+    "check-nan": ("check/tol_rel", math.nan, "check/tol_rel"),
+    "check-infinity": ("check/tol_abs", math.inf, "check/tol_abs"),
+    "check-1e400": ("check/tol_rel", RAW_1E400, "check/tol_rel"),
+    "surrogate-extra-key": ("training/surrogate", {"kind": "linear", "sigma": 1},
+                            "unknown key 'sigma'"),
+    "network-negative-seed": ("network/seed", -1, "seed must be non-negative"),
+    "training-negative-seed": ("training/seed", -1, "seed must be non-negative"),
+    "check-negative-seed": ("check/seed", -1, "seed must be non-negative"),
+    "one-sample": ("task/n_samples", 1, "train split holds no samples"),
+    "empty-train-split": ("task/split", [0, 1, 0], "train split holds no samples"),
+    "check-zero-steps": ("check/t_steps", 0, "at least 1"),
+    "check-zero-batch": ("check/batch", 0, "at least 1"),
+    "check-no-modes": ("check/modes", [], "at least one check"),
+}
+
+ARCH_FILES = {
+    "arch-missing-fan-in": ({"layers": [{"kind": "alif", "size": 4}]},
+                            "missing key 'fan_in'"),
+    "arch-missing-layers": ({}, "missing key 'layers'"),
+    "arch-top-level-list": ([{"kind": "alif", "fan_in": 3, "size": 4}],
+                            "expected an object"),
+    "arch-unknown-kind": ({"layers": [{"kind": "conv", "fan_in": 3, "size": 4}]},
+                          "kind must be one of"),
+}
+
+
+def boundary_argv(tmp_path, case):
+    """The command line of one boundary case, plus the text its error holds."""
+    cfg = pattern_config(tmp_path, out_name="b", check={"t_steps": 8})
+    if case in CONFIG_MUTATIONS:
+        path, value, why = CONFIG_MUTATIONS[case]
+        doc = json.loads((tmp_path / "b.json").read_text())
+        *parents, key = path.split("/")
+        node = doc
+        for p in parents:
+            node = node[int(p)] if isinstance(node, list) else node[p]
+        node[int(key) if isinstance(node, list) else key] = value
+        text = json.dumps(doc).replace(f'"{RAW_1E400}"', "1e400")
+        (tmp_path / "b.json").write_text(text)
+        command = "gradcheck" if path.startswith("check/") else "train"
+        return [command, "--config", cfg], why
+    if case in ARCH_FILES:
+        doc, why = ARCH_FILES[case]
+        (tmp_path / "arch.json").write_text(json.dumps(doc))
+        return ["energy", "--arch", str(tmp_path / "arch.json"), "--fr", "0.1"], why
+    flags = {"train-negative-seed": (["train", "--seed", "-1"], "--seed"),
+             "gradcheck-negative-seed": (["gradcheck", "--seed", "-1"], "--seed"),
+             "zero-threads": (["train", "--threads", "0"], "--threads")}
+    if case in flags:
+        (command, *rest), why = flags[case]
+        return [command, "--config", cfg, *rest], why
+    assert main(["gen", "--config", cfg, "--out", str(tmp_path / "sets")]) == 0
+    data = tmp_path / "sets" / "test"
+    rows = (data / "data.csv").read_text().split("\n")
+    rows[2] = rows[2].rsplit(",", 1)[0] + ",nan"
+    (data / "data.csv").write_text("\n".join(rows))
+    model = tmp_path / "m.json"
+    save_model(init_network(NetworkSpec(input_size=3, layers=[
+        LayerSpec(size=4, recurrent=True), LayerSpec(size=2)])), model)
+    argv = {"eval-nan-data": ["eval", "--model", str(model), "--data", str(data)],
+            "energy-nan-data": ["energy", "--model", str(model), "--data", str(data)]}
+    return argv[case], "data.csv:3: non-finite field"
+
+
+@pytest.mark.parametrize("case", [*CONFIG_MUTATIONS, *ARCH_FILES,
+                                  "train-negative-seed", "gradcheck-negative-seed",
+                                  "zero-threads", "eval-nan-data", "energy-nan-data"])
+def test_boundary_mutations_exit_2_with_one_line(tmp_path, capsys, case):
+    argv, why = boundary_argv(tmp_path, case)
+    capsys.readouterr()
+    assert main(argv) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: "), err
+    assert why in err[0], err
+
+
+def test_cli_imports_without_jsonschema():
+    code = ("import sys; sys.modules['jsonschema'] = None; "
+            "import srnn.cli; sys.exit(srnn.cli.main(['energy']) != 2)")
+    src = str(Path(srnn.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=120, env=env)
+    assert done.returncode == 0, done.stderr

@@ -188,6 +188,17 @@ def test_dense_csv_parse_errors(tmp_path):
         load_dense_csv(bad, t_steps=1, channels=2)
 
 
+@pytest.mark.parametrize("field", ["nan", "inf", "-inf", "1e400"])
+def test_csv_loaders_reject_non_finite_fields(tmp_path, field):
+    bad = tmp_path / "bad.csv"
+    bad.write_text(f"0,1.0,2.0\n0,{field},2.0\n")
+    with pytest.raises(ValueError, match=r"bad\.csv:2: non-finite field"):
+        load_dense_csv(bad, t_steps=2, channels=2)
+    bad.write_text(f"0,0,0,1\n0,{field},0,1\n")
+    with pytest.raises(ValueError, match=r"bad\.csv:2: non-integer field"):
+        load_event_csv(bad)
+
+
 def test_event_csv_round_trip(tmp_path):
     ds = gen_pattern_classification(3, 15, 6, 0.0, seed=12, n_samples=20)
     path = tmp_path / "events.csv"
