@@ -9,7 +9,9 @@ charged their standard dense-algebra MAC counts. Energy per step uses
 45 nm CMOS costs: 3.1 pJ per MAC and 0.1 pJ per AC.
 
 These are theoretical counts over the architecture description; no memory
-traffic is modeled.
+traffic is modeled. Measured firing rates and synaptic operations (SOPs)
+come from SpikeCounts: `firing_rate` and `sop_count` take them from one
+trace, and `evaluate` adds them up chunk by chunk over a dataset.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from typing import Literal, Optional, get_args
 import numpy as np
 
 from srnn.jsondoc import read
-from srnn.network import ForwardTrace, Network
+from srnn.network import SPIKING_KINDS, ForwardTrace, Network
 
 MAC_ENERGY_PJ = 3.1
 AC_ENERGY_PJ = 0.1
@@ -107,55 +109,97 @@ class FiringRates:
     mean: float
 
 
+@dataclass
+class SpikeCounts:
+    """Spikes of hard forward passes, summed over samples and steps.
+
+    `per_neuron` has one entry per layer of `all_layers`: each unit's spike
+    count on spiking layers, None on the others. `head` is the index of
+    the readout head, which tells the forward stack from the back stack of
+    a bidirectional net. `sample_steps` counts the samples times steps
+    behind the counts. Every count is an exact integer, so counts added
+    over chunks equal those of one pass over the whole set.
+    """
+
+    per_neuron: list[Optional[np.ndarray]]
+    head: int
+    sample_steps: int = 0
+
+    @classmethod
+    def zeros(cls, net: Network) -> "SpikeCounts":
+        return cls([np.zeros(layer.size) if layer.spec.neuron in SPIKING_KINDS else None
+                    for layer in net.all_layers], head=len(net.layers) - 1)
+
+    @classmethod
+    def of(cls, trace: ForwardTrace) -> "SpikeCounts":
+        if trace.soft:
+            raise ValueError("spikes, firing rates and SOPs are defined for hard "
+                             "(binary) traces")
+        return cls([lt.y.sum(axis=(0, 1)) if lt.spiking else None
+                    for lt in trace.all_layers],
+                   head=len(trace.layers) - 1,
+                   sample_steps=trace.t_steps * trace.batch_size)
+
+    def add_(self, other: "SpikeCounts") -> "SpikeCounts":
+        for mine, theirs in zip(self.per_neuron, other.per_neuron, strict=True):
+            if mine is not None:
+                mine += theirs
+        self.sample_steps += other.sample_steps
+        return self
+
+    @property
+    def mean_rate(self) -> float:
+        """Spikes per unit and step over the spiking layers; 0 without any."""
+        counts = [c for c in self.per_neuron if c is not None]
+        units = sum(c.size for c in counts) * self.sample_steps
+        return sum(float(c.sum()) for c in counts) / units if units else 0.0
+
+
 def firing_rate(trace: ForwardTrace) -> FiringRates:
     """Spike probability per neuron per step, from a recorded hard trace."""
-    if trace.soft:
-        raise ValueError("firing rates are defined for hard (binary) traces")
-    per_layer = []
-    spikes = 0.0
-    count = 0
-    for lt in trace.all_layers:
-        if not lt.spiking:
-            continue
-        t_steps, batch, _ = lt.y.shape
-        per_layer.append(lt.y.sum(axis=(0, 1)) / (t_steps * batch))
-        spikes += float(lt.y.sum())
-        count += lt.y.size
-    mean = spikes / count if count else 0.0
-    return FiringRates(per_layer=per_layer, mean=mean)
+    counts = SpikeCounts.of(trace)
+    return FiringRates(per_layer=[c / counts.sample_steps for c in counts.per_neuron
+                                  if c is not None],
+                       mean=counts.mean_rate)
 
 
-def sop_count(trace: ForwardTrace, arch: ArchDescription):
-    """Synaptic operations caused by the spikes in a trace.
+def synaptic_ops(arch: ArchDescription, spikes: SpikeCounts, input_events: int):
+    """Synaptic operations caused by counted spikes and input events.
 
     Every emitted spike is charged the number of synapses it reaches: its
     layer's recurrent synapses plus the input synapses of the layer it
-    feeds. Nonzero input entries count as events into the first layer.
-    In a bidirectional trace both stacks read the input and both last
-    hidden layers feed the head. `arch` lists the layers in the order of
-    `trace.all_layers`. Returns (total, per step), the latter averaged over
-    time and batch.
+    feeds. Input events (nonzero input entries) are charged the synapses
+    of the first layer. In a bidirectional net both stacks read the input
+    and both last hidden layers feed the head. `arch` lists the layers in
+    the order of `all_layers`. Returns (total, per step), the latter
+    averaged over time and samples.
     """
-    if trace.soft:
-        raise ValueError("SOPs are defined for hard (binary) traces")
-    layers = trace.all_layers
+    layers = spikes.per_neuron
     if len(arch.layers) != len(layers):
         raise ValueError("architecture and trace disagree on depth")
-    head = len(trace.layers) - 1
+    head = spikes.head
     paths = [range(head + 1)]            # each path runs from the input to the head
-    if trace.back:
+    if head + 1 < len(layers):
         paths.append([*range(head + 1, len(layers)), head])
     total = 0.0
     for path in paths:
-        total += float(np.count_nonzero(trace.inputs)) * arch.layers[path[0]].size
+        total += float(input_events) * arch.layers[path[0]].size
         for i, fed in zip(path, [*path[1:], None]):
-            if not layers[i].spiking:
+            if layers[i] is None:
                 continue
             fan_out = arch.layers[i].size if arch.layers[i].recurrent else 0
             if fed is not None:
                 fan_out += arch.layers[fed].size
-            total += float(layers[i].y.sum()) * fan_out
-    return total, total / (trace.t_steps * trace.batch_size)
+            total += float(layers[i].sum()) * fan_out
+    return total, total / spikes.sample_steps
+
+
+def sop_count(trace: ForwardTrace, arch: ArchDescription):
+    """Synaptic operations caused by the spikes in a trace (see synaptic_ops).
+
+    Nonzero input entries count as events into the first layer.
+    """
+    return synaptic_ops(arch, SpikeCounts.of(trace), np.count_nonzero(trace.inputs))
 
 
 def snn_cost_per_step(arch: ArchDescription, fr: float = 0.0):

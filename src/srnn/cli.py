@@ -22,25 +22,14 @@ from typing import ClassVar, Literal, Optional, Union
 
 import numpy as np
 
-from srnn.accounting import (
-    ArchDescription,
-    cost_report,
-    firing_rate,
-    sop_count,
-)
-from srnn.codecs import anytime_csv_text, anytime_curve, encode_dataset
+from srnn.accounting import ArchDescription, cost_report
+from srnn.codecs import anytime_csv_text, encode_dataset
 from srnn.datasets import gen_pattern_classification, gen_streaming_waveform, \
     load_dataset, save_dataset, split
 from srnn.gradcheck import CheckMode, grad_check
 from srnn.jsondoc import SchemaError, read
-from srnn.network import (
-    NetworkSpec,
-    forward_sequence,
-    init_network,
-    load_model,
-    save_model,
-)
-from srnn.training import TrainingConfig, evaluate, fit, step_probs
+from srnn.network import NetworkSpec, init_network, load_model, save_model
+from srnn.training import TrainingConfig, check_loss, evaluate, fit
 
 log = logging.getLogger("srnn")
 
@@ -213,10 +202,18 @@ def _require(cfg: Config, section: str, command: str):
     return value
 
 
-def _write_cost_report(net, data, out_dir: Path) -> None:
-    trace = forward_sequence(net, data.inputs)
-    arch = ArchDescription.from_network(net)
-    report = cost_report(arch, fr=firing_rate(trace).mean, sops=sop_count(trace, arch))
+def _check_labels(spec: NetworkSpec, ds, what: str) -> None:
+    """Reject labels that the network's head and decoder cannot score."""
+    n_out = spec.layers[-1].size
+    if ds.n_classes > n_out:
+        raise UsageError(f"{what} has {ds.n_classes} classes but the network's "
+                         f"head is {n_out} wide")
+    if spec.decode == "spike_count" and ds.kind == "streaming":
+        raise UsageError(f"{what} has per-step labels, which spike_count "
+                         f"decoding cannot score")
+
+
+def _write_cost_report(report, out_dir: Path) -> None:
     (out_dir / "cost_report.txt").write_text(report.to_text())
     (out_dir / "cost_report.csv").write_text(report.to_csv_text())
 
@@ -233,6 +230,11 @@ def cmd_train(args) -> int:
     if train_ds.channels != net_spec.input_size:
         raise UsageError(f"network expects {net_spec.input_size} input "
                          f"channels but the task provides {train_ds.channels}")
+    try:
+        check_loss(tc.loss, train_ds.labels)
+    except ValueError as e:
+        raise UsageError(f"{args.config}: training/loss: {e}") from None
+    _check_labels(net_spec, train_ds, "the task")
     out_dir = Path(_require(cfg, "outputs", "train").dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     eval_ds = val_ds if val_ds.n_samples else None
@@ -242,10 +244,11 @@ def cmd_train(args) -> int:
     save_model(net, out_dir / "model.json")
     metrics.to_csv(out_dir / "metrics.csv")
     if test_ds.n_samples:
-        curve = anytime_curve(net, test_ds)
-        (out_dir / "anytime.csv").write_text(anytime_csv_text(curve))
-        _write_cost_report(net, test_ds, out_dir)
         rep = evaluate(net, test_ds)
+        (out_dir / "anytime.csv").write_text(anytime_csv_text(rep.anytime))
+        arch = ArchDescription.from_network(net)
+        _write_cost_report(cost_report(arch, fr=rep.firing_rate, sops=rep.sops(arch)),
+                           out_dir)
         print(f"test accuracy {rep.accuracy:.4f}  loss {rep.loss:.4f}  "
               f"firing rate {rep.firing_rate:.4f}")
     print(f"wrote {out_dir}/model.json and metrics.csv")
@@ -262,11 +265,12 @@ def _load_model_file(path):
 
 
 def _load_data_for(net, path):
-    """Load a dataset directory and check its width against the model's input."""
+    """Load a dataset directory and check it against the model's input and head."""
     data = _read_dataset(path)
     if data.channels != net.spec.input_size:
         raise UsageError(f"model expects {net.spec.input_size} input channels "
                          f"but the dataset has {data.channels}")
+    _check_labels(net.spec, data, "the dataset")
     return data
 
 
@@ -274,20 +278,18 @@ def cmd_eval(args) -> int:
     net = _load_model_file(args.model)
     data = _load_data_for(net, args.data)
     rep = evaluate(net, data)
-    line = (f"samples {rep.n_samples}  accuracy {rep.accuracy:.4f}  "
-            f"loss {rep.loss:.4f}  firing rate {rep.firing_rate:.4f}")
-    trace = forward_sequence(net, data.inputs)
-    total, per_step = sop_count(trace, ArchDescription.from_network(net))
-    line += f"  SOPs {total:.0f} ({per_step:.1f}/step)"
-    print(line)
+    total, per_step = rep.sops(ArchDescription.from_network(net))
+    print(f"samples {rep.n_samples}  accuracy {rep.accuracy:.4f}  "
+          f"loss {rep.loss:.4f}  firing rate {rep.firing_rate:.4f}  "
+          f"SOPs {total:.0f} ({per_step:.1f}/step)")
     if data.kind == "streaming":
         out_dir = Path(args.out or ".")
         out_dir.mkdir(parents=True, exist_ok=True)
-        pred = np.argmax(step_probs(trace, net.spec.decode), axis=2)
+        pred = rep.step_predictions
         lines = ["sample,step,label,prediction"]
         for s in range(data.n_samples):
             for t in range(data.t_steps):
-                lines.append(f"{s},{t},{data.labels[s, t]},{pred[t, s]}")
+                lines.append(f"{s},{t},{data.labels[s, t]},{pred[s, t]}")
         (out_dir / "predictions.csv").write_text("\n".join(lines) + "\n")
         print(f"wrote {out_dir}/predictions.csv")
     return 0
@@ -301,10 +303,8 @@ def cmd_energy(args) -> int:
         net = _load_model_file(args.model)
         arch = ArchDescription.from_network(net)
         if args.data:
-            data = _load_data_for(net, args.data)
-            trace = forward_sequence(net, data.inputs)
-            fr = firing_rate(trace).mean
-            sops = sop_count(trace, arch)
+            rep = evaluate(net, _load_data_for(net, args.data))
+            fr, sops = rep.firing_rate, rep.sops(arch)
         elif args.fr is not None:
             fr = args.fr
         else:
@@ -321,8 +321,7 @@ def cmd_energy(args) -> int:
     if args.out:
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
-        (out_dir / "cost_report.txt").write_text(report.to_text())
-        (out_dir / "cost_report.csv").write_text(report.to_csv_text())
+        _write_cost_report(report, out_dir)
     return 0
 
 

@@ -16,8 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from srnn.network import forward_sequence
-from srnn.training import _softmax, step_probs
+from srnn.training import _softmax, evaluate
 
 
 @dataclass
@@ -116,27 +115,13 @@ def anytime_curve(net, data, chunk_size: int = 64) -> np.ndarray:
 
     Spike-count decoding scores the running cumulative counts; membrane
     decoding scores each step's softmax. Sequence-level labels apply to
-    every step, per-step labels are compared stepwise.
+    every step, per-step labels are compared stepwise. This is the curve
+    of `evaluate`'s pass (EvalReport.anytime); a caller that evaluates
+    anyway reads it from the report instead.
     """
-    inputs = np.asarray(data.inputs, dtype=float)
-    labels = np.asarray(data.labels)
-    n, t_steps = inputs.shape[0], inputs.shape[1]
-    if n == 0:
+    if len(data.inputs) == 0:
         raise ValueError("dataset is empty")
-    correct = np.zeros(t_steps)
-    total = np.zeros(t_steps)
-    for start in range(0, n, chunk_size):
-        sl = slice(start, min(start + chunk_size, n))
-        trace = forward_sequence(net, inputs[sl])
-        probs = step_probs(trace, net.spec.decode)
-        pred = np.argmax(probs, axis=2)              # (T, B)
-        if labels.ndim == 1:
-            target = np.broadcast_to(labels[sl], pred.shape)
-        else:
-            target = labels[sl].T
-        correct += (pred == target).sum(axis=1)
-        total += pred.shape[1]
-    return correct / total
+    return evaluate(net, data, chunk_size).anytime
 
 
 def encode_dataset(ds, up: float = 0.3, down: float = 0.3):

@@ -22,12 +22,16 @@ from __future__ import annotations
 import json
 import math
 import struct
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
+from typing import Literal, get_args
 
 import numpy as np
 
-DATASET_KINDS = ("sequence-classification", "streaming")
+from srnn.jsondoc import read
+
+DatasetKind = Literal["sequence-classification", "streaming"]
+DATASET_KINDS = get_args(DatasetKind)
 MANIFEST_FORMAT = "srnn-dataset/1"
 
 IDX_IMAGES_MAGIC = 0x00000803
@@ -337,41 +341,62 @@ def split(ds: Dataset, ratios=(0.72, 0.08, 0.20), seed: int = 0):
             ds.subset(order[n_train + n_val:]))
 
 
+@dataclass
+class Manifest:
+    """manifest.json of a dataset directory, read by srnn.jsondoc."""
+
+    format: Literal["srnn-dataset/1"]
+    kind: DatasetKind
+    n_samples: int
+    t_steps: int
+    channels: int
+    n_classes: int
+    data: str
+
+    def __post_init__(self):
+        if min(self.t_steps, self.channels, self.n_classes) < 1 or self.n_samples < 0:
+            raise ValueError("t_steps, channels and n_classes must be at least 1, "
+                             "n_samples non-negative")
+
+
 def save_dataset(ds: Dataset, out_dir) -> None:
     """Materialize a dataset as a manifest plus a dense CSV."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    manifest = {"format": MANIFEST_FORMAT, "kind": ds.kind,
-                "n_samples": ds.n_samples, "t_steps": ds.t_steps,
-                "channels": ds.channels, "n_classes": ds.n_classes,
-                "data": "data.csv"}
+    manifest = Manifest(format=MANIFEST_FORMAT, kind=ds.kind, n_samples=ds.n_samples,
+                        t_steps=ds.t_steps, channels=ds.channels,
+                        n_classes=ds.n_classes, data="data.csv")
     with open(out / "manifest.json", "w") as f:
-        json.dump(manifest, f, indent=1, sort_keys=True)
+        json.dump(asdict(manifest), f, indent=1, sort_keys=True)
         f.write("\n")
     save_dense_csv(ds, out / "data.csv")
 
 
 def load_dataset(in_dir) -> Dataset:
-    """Read a dataset directory written by save_dataset."""
+    """Read a dataset directory written by save_dataset.
+
+    A manifest of another format raises ValueError naming that format; a
+    manifest that does not fit `Manifest` raises srnn.jsondoc.SchemaError.
+    """
     path = Path(in_dir) / "manifest.json"
     with open(path) as f:
-        manifest = json.load(f)
-    if manifest.get("format") != MANIFEST_FORMAT:
-        raise ValueError(f"unsupported dataset format: {manifest.get('format')!r}")
-    ds = load_dense_csv(Path(in_dir) / manifest["data"],
-                        manifest["t_steps"], manifest["channels"])
-    if ds.n_samples != manifest["n_samples"]:
+        doc = json.load(f)
+    if isinstance(doc, dict) and doc.get("format") != MANIFEST_FORMAT:
+        raise ValueError(f"unsupported dataset format: {doc.get('format')!r}")
+    manifest = read(Manifest, doc)
+    ds = load_dense_csv(Path(in_dir) / manifest.data, manifest.t_steps, manifest.channels)
+    if ds.n_samples != manifest.n_samples:
         raise ValueError(f"{path}: manifest sample count mismatch")
     # a streaming set whose labels happen to be constant per sample would
     # load as classification; the manifest is authoritative
-    if ds.kind != manifest["kind"]:
-        if manifest["kind"] == "streaming":
+    if ds.kind != manifest.kind:
+        if manifest.kind == "streaming":
             labels = np.repeat(ds.labels[:, None], ds.t_steps, axis=1)
             ds = Dataset(inputs=ds.inputs, labels=labels, kind="streaming",
-                         n_classes=max(ds.n_classes, manifest["n_classes"]))
+                         n_classes=max(ds.n_classes, manifest.n_classes))
         else:
             raise ValueError(f"{path}: kind mismatch")
-    if manifest["n_classes"] > ds.n_classes:
+    if manifest.n_classes > ds.n_classes:
         ds = Dataset(inputs=ds.inputs, labels=ds.labels, kind=ds.kind,
-                     n_classes=manifest["n_classes"])
+                     n_classes=manifest.n_classes)
     return ds

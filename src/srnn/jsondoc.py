@@ -1,12 +1,12 @@
 """Read decoded JSON into the dataclasses that describe it.
 
 One reader serves every JSON document the package takes in: CLI configs,
-the specs in model files, architecture files and surrogate records. It
-walks a dataclass's fields and checks each value against the annotation:
-an int must be a JSON integer (not a bool, not 1.0), a float a finite
-number (so NaN, Infinity and 1e400 fail), bool and str exactly that type,
-Literal one of its values, tuple[X, Y] a list of that length, list[X] a
-list, Optional[X] null or X. Unknown keys fail, and so do missing fields
+the specs in model files, architecture files, surrogate records and
+dataset manifests. It walks a dataclass's fields and checks each value
+against the annotation: an int must be a JSON integer (not a bool, not
+1.0), a float a finite number (so NaN, Infinity and 1e400 fail), bool and
+str exactly that type, Literal one of its values, tuple[X, Y] a list of
+that length, list[X] a list, Optional[X] null or X. Unknown keys fail, and so do missing fields
 without a default. A Union of dataclasses is an object whose "kind" key
 names the member by the member's `kind` class attribute.
 

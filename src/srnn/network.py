@@ -52,12 +52,20 @@ nonlinearity H(u - theta) is replaced by max(0, u - theta) and the reset
 pathways act on that continuous output. Nothing in soft mode is
 discontinuous, which makes it checkable against finite differences; it
 exists for gradient verification, not for deployment.
+
+The online API streams a batch one step at a time. `init_state` starts a
+stream: its LayerState for each layer holds the membrane, the last
+output and, on adaptive layers, eta and the threshold theta_{t-1}, plus
+a copy of the layer's weights and its Cell, built once. `forward_step`
+reuses that copy and that cell on every step, so a stream's parameters
+are frozen from `init_state` on: an update of the network (`adam_step`,
+`fit`) reaches only the streams started after it.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields, replace
 from typing import Literal, Optional, get_args
 
 import numpy as np
@@ -226,11 +234,16 @@ def init_network(spec: NetworkSpec, seed: Optional[int] = None):
     return Network(spec=spec, layers=fwd + head, back=back)
 
 
-@dataclass
+@dataclass(slots=True)
 class LayerState:
+    """One layer of an online stream after some step (see init_state)."""
+
     u: np.ndarray                    # (B, n)
     y: np.ndarray                    # previous output, (B, n)
     eta: Optional[np.ndarray]        # (B, n) for adaptive layers
+    theta: Optional[np.ndarray]      # (B, n) b_0 + beta*eta, for adaptive layers
+    layer: Layer                     # the stream's copy of the layer's weights
+    cell: Cell                       # cell(layer), built by init_state
 
 
 @dataclass
@@ -281,13 +294,27 @@ def _online(net: Network) -> None:
 
 
 def init_state(net: Network, batch: int) -> list[LayerState]:
+    """Start an online stream of `batch` samples: one LayerState per layer.
+
+    Each state holds a copy of its layer's weights and time constants and
+    the layer's Cell, built here once and reused by every forward_step of
+    the stream. The stream's parameters are therefore fixed at this call:
+    a later update of `net` does not reach it; start a new stream to run
+    the updated network.
+    """
     _online(net)
     states = []
     for layer in net.layers:
+        frozen = replace(layer, **{k: None if a is None else a.copy()
+                                   for k, a in layer.param_arrays().items()})
+        c = cell(frozen)
         u = np.broadcast_to(layer.u_init, (batch, layer.size)).copy()
         y = np.zeros((batch, layer.size))
-        eta = np.zeros((batch, layer.size)) if layer.tau_adp is not None else None
-        states.append(LayerState(u=u, y=y, eta=eta))
+        eta = theta = None
+        if c.rho is not None:
+            eta = np.zeros((batch, layer.size))
+            theta = _threshold(layer.spec, eta)
+        states.append(LayerState(u, y, eta, theta, frozen, c))
     return states
 
 
@@ -328,17 +355,26 @@ def decay_tau_grad(layer: Layer, decay: np.ndarray) -> np.ndarray:
     return s.dt / layer.tau_m ** 2
 
 
+def _threshold(s: LayerSpec, eta: np.ndarray) -> np.ndarray:
+    """theta = b_0 + beta * eta of an adaptive layer, in a fresh array."""
+    theta = s.beta * eta
+    theta += s.b_0
+    return theta
+
+
 def _step_layer(layer: Layer, c: Cell, pre: np.ndarray, prev: tuple,
                 soft: bool, out: tuple = (None, None, None)) -> tuple:
-    """Advance one layer one step. Returns the new (u, y, eta).
+    """Advance one layer one step. Returns the new (u, y, eta, theta).
 
     `pre` holds the step's feed-forward drive; the recurrent term
-    y_{t-1} @ w_rec is added to it in place. `prev` is the (u, y, eta) the
-    step starts from. The new state is written into the arrays of `out`
-    (rows of a trace), or into fresh arrays where `out` holds None.
+    y_{t-1} @ w_rec is added to it in place. `prev` is the (u, y, eta,
+    theta) the step starts from; eta and theta are None on layers without
+    adaptation. The new u, y and eta are written into the arrays of `out`
+    (rows of a trace), or into fresh arrays where `out` holds None; theta
+    is always fresh, as the next step reads it for its threshold kick.
     """
     s = layer.spec
-    u0, y0, eta0 = prev
+    u0, y0, eta0, theta0 = prev
     u, y, eta = out
     if layer.w_rec is not None:
         pre += y0 @ layer.w_rec
@@ -347,14 +383,10 @@ def _step_layer(layer: Layer, c: Cell, pre: np.ndarray, prev: tuple,
     u += c.gain * pre
     theta = s.theta
     if c.rho is not None:
-        kick = s.beta * eta0
-        kick += s.b_0
-        kick *= y0
-        u -= kick
+        u -= theta0 * y0
         eta = np.multiply(c.rho, eta0, out=eta)
         eta += c.eta_gain * y0
-        theta = s.beta * eta
-        theta += s.b_0
+        theta = _threshold(s, eta)
     if c.kind == "readout":
         if y is None:
             y = u
@@ -366,22 +398,32 @@ def _step_layer(layer: Layer, c: Cell, pre: np.ndarray, prev: tuple,
         y = np.maximum(0.0, np.subtract(u, theta, out=y), out=y)
     else:
         y = np.greater_equal(u, theta, out=np.empty_like(u) if y is None else y)
-    return u, y, eta
+    return u, y, eta, None if c.rho is None else theta
 
 
 def forward_step(net: Network, x_t: np.ndarray, states: list[LayerState],
                  soft: bool = False):
-    """One synchronous step through the stack. Returns (states', outputs)."""
+    """One synchronous step through the stack. Returns (states', outputs).
+
+    `states` comes from init_state or the previous forward_step of the
+    same stream, one entry per layer of `net`. The step runs on the
+    weights and cells those states carry, fixed when the stream started.
+    """
     _online(net)
+    if len(states) != len(net.layers):
+        raise ValueError(f"expected one state per layer ({len(net.layers)}), "
+                         f"got {len(states)}")
     x_t = np.asarray(x_t, dtype=float)
     squeeze = x_t.ndim == 1
     inp = x_t[None, :] if squeeze else x_t
     new_states, outputs = [], []
-    for layer, st in zip(net.layers, states):
+    for st in states:
+        layer, c = st.layer, st.cell
         pre = inp @ layer.w_in
         pre += layer.bias
-        u, y, eta = _step_layer(layer, cell(layer), pre, (st.u, st.y, st.eta), soft)
-        new_states.append(LayerState(u=u, y=y, eta=eta))
+        u, y, eta, theta = _step_layer(layer, c, pre, (st.u, st.y, st.eta, st.theta),
+                                       soft)
+        new_states.append(LayerState(u, y, eta, theta, layer, c))
         outputs.append(y[0] if squeeze else y)
         inp = y
     return new_states, outputs
@@ -449,7 +491,8 @@ def _run_layers(layers: list[Layer], x_tbn: np.ndarray, soft: bool) -> list[Laye
         if hoisted:
             _project(inp, layer.w_in, tr.pre)
             tr.pre += layer.bias
-        prev = (tr.u_init, tr.y_init, tr.eta_init)
+        theta = None if c.rho is None else _threshold(layer.spec, tr.eta_init)
+        prev = (tr.u_init, tr.y_init, tr.eta_init, theta)
         for t, pre in enumerate(tr.pre):
             if not hoisted:
                 np.matmul(inp[t], layer.w_in, out=pre)

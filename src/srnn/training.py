@@ -44,6 +44,7 @@ from typing import ClassVar, Literal, Optional, Union, get_args
 
 import numpy as np
 
+from srnn.accounting import ArchDescription, SpikeCounts, synaptic_ops
 from srnn.network import (
     Cell,
     ForwardTrace,
@@ -329,11 +330,14 @@ def _layer_backward(layer: Layer, tr: LayerTrace, below_y: np.ndarray,
     return grads, g_below
 
 
-def _loss_and_seeds(decode: str, last: LayerTrace, targets):
+def _loss_and_seeds(decode: str, last: LayerTrace, targets,
+                    probs: Optional[np.ndarray] = None):
     """Loss, external/direct seeds for the top layer, and accuracy stats.
 
     Returns (loss_sum, g_ext, g_direct, correct, total_preds). Seeds are
-    gradients of the summed-over-batch loss.
+    gradients of the summed-over-batch loss. A caller that holds the
+    head's `step_probs` passes them as `probs`, which spares the membrane
+    decoders a second softmax.
     """
     t_steps, batch, n_cls = last.u.shape
     targets = np.asarray(targets)
@@ -352,7 +356,8 @@ def _loss_and_seeds(decode: str, last: LayerTrace, targets):
         return loss, g_ext, None, correct, batch
 
     # membrane decoders score every step
-    probs = _softmax(last.u)
+    if probs is None:
+        probs = _softmax(last.u)
     if targets.ndim <= 1:
         labels = targets.reshape(-1).astype(int)
         if labels.shape[0] != batch:
@@ -420,17 +425,6 @@ def backward(net: Network, trace: ForwardTrace, targets, surrogate: SurrogateKin
             surrogate, trace.soft, train_tau_m, train_tau_adp)
         grads = fwd_grads + [head_grads] + back_grads
     return GradientSet(layers=grads, loss=loss, correct=correct, total_preds=total)
-
-
-def trace_firing_rate(trace: ForwardTrace) -> tuple[float, float]:
-    """(spike sum, step*unit count) over the spiking layers of a trace."""
-    spikes = 0.0
-    denom = 0.0
-    for lt in trace.all_layers:
-        if lt.spiking and not trace.soft:
-            spikes += float(lt.y.sum())
-            denom += lt.y.size
-    return spikes, denom
 
 
 def step_probs(trace, decode: str) -> np.ndarray:
@@ -544,12 +538,11 @@ def _chunk_job(net, inputs, targets, config):
     grads = backward(net, trace, targets, config.surrogate,
                      train_tau_m=config.train_tau_m,
                      train_tau_adp=config.train_tau_adp)
-    spikes, denom = trace_firing_rate(trace)
-    return grads, spikes, denom
+    return grads, SpikeCounts.of(trace)
 
 
 def _batch_gradients(net, inputs, labels, idx, config, pool):
-    """Summed gradients over the samples in idx, reduced in fixed order."""
+    """Summed gradients and spike counts over the samples in idx, in fixed order."""
     chunks = [idx[i:i + config.chunk_size] for i in range(0, len(idx), config.chunk_size)]
     jobs = [(net, inputs[c], labels[c], config) for c in chunks]
     if pool is None:
@@ -557,13 +550,11 @@ def _batch_gradients(net, inputs, labels, idx, config, pool):
     else:
         results = list(pool.map(lambda j: _chunk_job(*j), jobs))
     total = zero_grads(net)
-    spikes = 0.0
-    denom = 0.0
-    for grads, sp, dn in results:
+    spikes = SpikeCounts.zeros(net)
+    for grads, counts in results:
         total.add_(grads)
-        spikes += sp
-        denom += dn
-    return total, spikes, denom
+        spikes.add_(counts)
+    return total, spikes
 
 
 def _check_finite(net, epoch: int) -> None:
@@ -588,10 +579,7 @@ def fit(spec, train_data, config: TrainingConfig, eval_data=None, threads: int =
     net = init_network(spec) if isinstance(spec, NetworkSpec) else spec
     inputs = np.asarray(train_data.inputs, dtype=float)
     labels = np.asarray(train_data.labels)
-    if labels.ndim == 2 and config.loss == "ce":
-        raise ValueError("per-step labels need loss='nll_streaming'")
-    if labels.ndim == 1 and config.loss == "nll_streaming":
-        raise ValueError("loss='nll_streaming' needs per-step labels")
+    check_loss(config.loss, labels)
     n = inputs.shape[0]
     log = MetricsLog()
     if config.epochs == 0:
@@ -606,25 +594,23 @@ def fit(spec, train_data, config: TrainingConfig, eval_data=None, threads: int =
             ep_loss = 0.0
             ep_correct = 0
             ep_total = 0
-            ep_spikes = 0.0
-            ep_denom = 0.0
+            ep_spikes = SpikeCounts.zeros(net)
             for start in range(0, n, config.minibatch):
                 batch_idx = np.sort(order[start:start + config.minibatch])
-                grads, spikes, denom = _batch_gradients(
-                    net, inputs, labels, batch_idx, config, pool)
+                grads, spikes = _batch_gradients(net, inputs, labels, batch_idx,
+                                                 config, pool)
+                ep_spikes.add_(spikes)
                 ep_loss += grads.loss
                 ep_correct += grads.correct
                 ep_total += grads.total_preds
-                ep_spikes += spikes
-                ep_denom += denom
                 grads.scale_(1.0 / len(batch_idx))
                 adam_step(net, grads, adam, lr)
                 _check_finite(net, epoch)
             mean_loss = ep_loss / n
             if not math.isfinite(mean_loss):
                 raise FloatingPointError(f"training diverged at epoch {epoch}")
-            fr = ep_spikes / ep_denom if ep_denom else 0.0
-            log.append(epoch, "train", mean_loss, ep_correct / max(ep_total, 1), fr, lr)
+            log.append(epoch, "train", mean_loss, ep_correct / max(ep_total, 1),
+                       ep_spikes.mean_rate, lr)
             if eval_data is not None:
                 rep = evaluate(net, eval_data)
                 log.append(epoch, "eval", rep.loss, rep.accuracy, rep.firing_rate, lr)
@@ -636,33 +622,78 @@ def fit(spec, train_data, config: TrainingConfig, eval_data=None, threads: int =
 
 @dataclass
 class EvalReport:
+    """What one pass of `evaluate` over a dataset measured.
+
+    Besides the mean loss, the accuracy and the firing rate it holds what
+    reports read from the same pass: each layer's spike counts and the
+    number of input events (nonzero input entries), from which
+    `sops` charges synaptic operations; the number of correct predictions
+    at every step under `step_probs` (see `anytime`); and, for per-step
+    labels, each step's prediction, (samples, t_steps).
+    """
+
     loss: float
     accuracy: float
     firing_rate: float
     n_samples: int
+    spikes: SpikeCounts
+    input_events: int
+    anytime_correct: np.ndarray
+    step_predictions: Optional[np.ndarray] = None
+
+    @property
+    def anytime(self) -> np.ndarray:
+        """Accuracy after consuming t steps, for every step t."""
+        return self.anytime_correct / self.n_samples
+
+    def sops(self, arch: ArchDescription):
+        """(total, per step) synaptic operations; see accounting.synaptic_ops."""
+        return synaptic_ops(arch, self.spikes, self.input_events)
+
+
+def check_loss(loss: str, labels) -> None:
+    """Raise ValueError unless the loss kind can score labels of this shape."""
+    ndim = np.ndim(labels)
+    if ndim == 2 and loss == "ce":
+        raise ValueError("per-step labels need loss='nll_streaming'")
+    if ndim == 1 and loss == "nll_streaming":
+        raise ValueError("loss='nll_streaming' needs per-step labels")
 
 
 def evaluate(net, data, chunk_size: int = 64) -> EvalReport:
-    """Mean loss, accuracy and firing rate of a network on a dataset."""
+    """Score a network on a dataset in one forward pass, chunk by chunk.
+
+    Step predictions are the argmax of `step_probs`: the running spike
+    count's softmax or each step's membrane softmax. A sequence label
+    applies to every step of the anytime count; per-step labels are
+    compared step by step.
+    """
     inputs = np.asarray(data.inputs, dtype=float)
     labels = np.asarray(data.labels)
-    n = inputs.shape[0]
+    n, t_steps = inputs.shape[:2]
     decode = net.spec.decode
     loss_sum = 0.0
     correct = 0
     total = 0
-    spikes = 0.0
-    denom = 0.0
+    spikes = SpikeCounts.zeros(net)
+    input_events = 0
+    anytime = np.zeros(t_steps, dtype=int)
+    step_pred = np.empty((n, t_steps), dtype=int) if labels.ndim == 2 else None
     for start in range(0, n, chunk_size):
         sl = slice(start, min(start + chunk_size, n))
         trace = forward_sequence(net, inputs[sl])
-        loss, _, _, c, tp = _loss_and_seeds(decode, trace.head, labels[sl])
+        probs = step_probs(trace, decode)
+        loss, _, _, c, tp = _loss_and_seeds(decode, trace.head, labels[sl], probs)
         loss_sum += loss
         correct += c
         total += tp
-        sp, dn = trace_firing_rate(trace)
-        spikes += sp
-        denom += dn
-    fr = spikes / denom if denom else 0.0
+        spikes.add_(SpikeCounts.of(trace))
+        input_events += int(np.count_nonzero(inputs[sl]))
+        pred = np.argmax(probs, axis=2)                          # (T, B)
+        anytime += (pred == labels[sl].T).sum(axis=1)
+        if step_pred is not None:
+            step_pred[sl] = pred.T
     return EvalReport(loss=loss_sum / max(n, 1), accuracy=correct / max(total, 1),
-                      firing_rate=fr, n_samples=n)
+                      firing_rate=spikes.mean_rate, n_samples=n, spikes=spikes,
+                      input_events=input_events, anytime_correct=anytime,
+                      step_predictions=step_pred)

@@ -7,10 +7,13 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import srnn
+import srnn.cli
 from srnn.cli import main
+from srnn.datasets import load_dataset
 from srnn.network import LayerSpec, NetworkSpec, init_network, save_model
 
 
@@ -194,6 +197,67 @@ def test_eval_classification_and_errors(tmp_path, capsys):
                  "--data", str(tmp_path / "gd" / "test")]) == 2
     assert main(["eval", "--model", str(tmp_path / "ev" / "model.json"),
                  "--data", str(tmp_path / "missing")]) == 2
+
+
+def _record_forward_batches(monkeypatch):
+    """Record the input batch of every forward_sequence call in the package."""
+    batches = []
+    real = srnn.network.forward_sequence
+
+    def recording(net, x, soft=False):
+        batches.append(np.array(x))
+        return real(net, x, soft)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "srnn" and getattr(module, "forward_sequence", None) is real:
+            monkeypatch.setattr(module, "forward_sequence", recording)
+    return batches
+
+
+def _assert_one_pass(batches, inputs):
+    """The batches hold every sample of inputs exactly once, in chunks of <= 64."""
+    assert len(batches) == math.ceil(len(inputs) / 64)
+    assert all(len(b) <= 64 for b in batches)
+    np.testing.assert_array_equal(np.concatenate(batches), inputs)
+
+
+def test_cli_passes_the_test_set_through_the_network_once(tmp_path, monkeypatch, capsys):
+    task = {"kind": "pattern_classification", "n_classes": 2, "t_steps": 8,
+            "channels": 3, "jitter_std": 0.5, "seed": 1, "n_samples": 400}
+    cfg = pattern_config(tmp_path, out_name="once", epochs=1, task=task)
+    stream_cfg = streaming_config(tmp_path)
+    doc = json.loads(Path(stream_cfg).read_text())
+    doc["task"]["n_samples"] = 400
+    Path(stream_cfg).write_text(json.dumps(doc))
+    assert main(["train", "--config", stream_cfg]) == 0
+    for c, out in ((cfg, "sets"), (stream_cfg, "stream_sets")):
+        assert main(["gen", "--config", c, "--out", str(tmp_path / out)]) == 0
+    batches = _record_forward_batches(monkeypatch)
+
+    # train: every call after fit returns belongs to the test split
+    real_fit, after_fit = srnn.cli.fit, []
+
+    def fit_then_mark(*args, **kwargs):
+        result = real_fit(*args, **kwargs)
+        after_fit.append(len(batches))
+        return result
+
+    monkeypatch.setattr(srnn.cli, "fit", fit_then_mark)
+    assert main(["train", "--config", cfg]) == 0
+    test_inputs = load_dataset(tmp_path / "sets" / "test").inputs
+    assert len(test_inputs) > 64
+    _assert_one_pass(batches[after_fit[0]:], test_inputs)
+
+    model = str(tmp_path / "once" / "model.json")
+    stream_model = str(tmp_path / "stream" / "model.json")
+    for argv, data in (
+            (["eval", "--model", model], tmp_path / "sets" / "test"),
+            (["eval", "--model", stream_model, "--out", str(tmp_path / "ev")],
+             tmp_path / "stream_sets" / "test"),
+            (["energy", "--model", model], tmp_path / "sets" / "test")):
+        batches.clear()
+        assert main([*argv, "--data", str(data)]) == 0
+        _assert_one_pass(batches, load_dataset(data).inputs)
 
 
 def test_gen_writes_split_directories(tmp_path, capsys):
@@ -422,6 +486,21 @@ CONFIG_MUTATIONS = {
     "check-zero-steps": ("check/t_steps", 0, "at least 1"),
     "check-zero-batch": ("check/batch", 0, "at least 1"),
     "check-no-modes": ("check/modes", [], "at least one check"),
+    "pattern-task-nll-streaming": ("training/loss", "nll_streaming", "training/loss"),
+    "task-more-classes-than-head": ("task/n_classes", 3, "head is 2 wide"),
+}
+
+# Manifest mutations of a saved test split: (new manifest, text the error must hold).
+MANIFEST_MUTATIONS = {
+    "manifest-no-t-steps": (lambda m: {k: v for k, v in m.items() if k != "t_steps"},
+                            "bad dataset: schema violation at (top level): "
+                            "missing key 't_steps'"),
+    "manifest-float-t-steps": (lambda m: {**m, "t_steps": 4.0},
+                               "bad dataset: schema violation at t_steps"),
+    "manifest-string-channels": (lambda m: {**m, "channels": "3"},
+                                 "bad dataset: schema violation at channels"),
+    "manifest-top-level-list": (lambda m: [m], "bad dataset: schema violation at "
+                                               "(top level): expected an object"),
 }
 
 ARCH_FILES = {
@@ -460,22 +539,47 @@ def boundary_argv(tmp_path, case):
     if case in flags:
         (command, *rest), why = flags[case]
         return [command, "--config", cfg, *rest], why
+    if case in ("streaming-task-ce", "energy-step-labels-spike-count"):
+        scfg = streaming_config(tmp_path)
+        doc = json.loads(Path(scfg).read_text())
+        doc["training"]["loss"] = "ce"
+        Path(scfg).write_text(json.dumps(doc))
+        if case == "streaming-task-ce":
+            return ["train", "--config", scfg], "training/loss"
+        assert main(["gen", "--config", scfg, "--out", str(tmp_path / "ss")]) == 0
+        model = tmp_path / "m.json"
+        save_model(init_network(NetworkSpec(input_size=2, layers=[
+            LayerSpec(size=4, recurrent=True), LayerSpec(size=2)])), model)
+        return (["energy", "--model", str(model), "--data", str(tmp_path / "ss" / "test")],
+                "per-step labels, which spike_count decoding cannot score")
     assert main(["gen", "--config", cfg, "--out", str(tmp_path / "sets")]) == 0
     data = tmp_path / "sets" / "test"
+    model = tmp_path / "m.json"
+    if case == "eval-more-classes-than-head":
+        save_model(init_network(NetworkSpec(input_size=3, layers=[
+            LayerSpec(size=4, recurrent=True), LayerSpec(size=1)])), model)
+        return (["eval", "--model", str(model), "--data", str(data)],
+                "the dataset has 2 classes but the network's head is 1 wide")
+    save_model(init_network(NetworkSpec(input_size=3, layers=[
+        LayerSpec(size=4, recurrent=True), LayerSpec(size=2)])), model)
+    if case in MANIFEST_MUTATIONS:
+        mutate, why = MANIFEST_MUTATIONS[case]
+        manifest = data / "manifest.json"
+        manifest.write_text(json.dumps(mutate(json.loads(manifest.read_text()))))
+        return ["eval", "--model", str(model), "--data", str(data)], why
     rows = (data / "data.csv").read_text().split("\n")
     rows[2] = rows[2].rsplit(",", 1)[0] + ",nan"
     (data / "data.csv").write_text("\n".join(rows))
-    model = tmp_path / "m.json"
-    save_model(init_network(NetworkSpec(input_size=3, layers=[
-        LayerSpec(size=4, recurrent=True), LayerSpec(size=2)])), model)
     argv = {"eval-nan-data": ["eval", "--model", str(model), "--data", str(data)],
             "energy-nan-data": ["energy", "--model", str(model), "--data", str(data)]}
     return argv[case], "data.csv:3: non-finite field"
 
 
-@pytest.mark.parametrize("case", [*CONFIG_MUTATIONS, *ARCH_FILES,
+@pytest.mark.parametrize("case", [*CONFIG_MUTATIONS, *ARCH_FILES, *MANIFEST_MUTATIONS,
                                   "train-negative-seed", "gradcheck-negative-seed",
-                                  "zero-threads", "eval-nan-data", "energy-nan-data"])
+                                  "zero-threads", "eval-nan-data", "energy-nan-data",
+                                  "streaming-task-ce", "energy-step-labels-spike-count",
+                                  "eval-more-classes-than-head"])
 def test_boundary_mutations_exit_2_with_one_line(tmp_path, capsys, case):
     argv, why = boundary_argv(tmp_path, case)
     capsys.readouterr()

@@ -1,5 +1,6 @@
 """Unit tests for network construction, the forward pass, and model files."""
 
+import copy
 import json
 import math
 import re
@@ -30,7 +31,8 @@ from srnn.neurons import (
     readout_step,
     relu_step,
 )
-from srnn.training import evaluate
+from srnn.surrogates import MultiGaussian
+from srnn.training import AdamState, adam_step, backward, evaluate
 
 
 def small_spec(**kw):
@@ -233,6 +235,54 @@ def test_forward_step_equals_forward_sequence_at_batch_one(stack):
     for lt in trace.layers:
         if lt.spiking:
             assert 0.0 < lt.y.mean() < 1.0   # spikes and resets were exercised
+
+
+def _stream(net, x, states, soft):
+    """Feed the rows of x to forward_step; returns (states, outputs per step)."""
+    outs = []
+    for x_t in x:
+        states, o = forward_step(net, x_t, states, soft=soft)
+        outs.append(o)
+    return states, outs
+
+
+def _assert_stream_matches(outs, trace, soft):
+    for t, o in enumerate(outs):
+        for lt, y in zip(trace.layers, o, strict=True):
+            if soft:   # soft mode hoists every projection, so the last bits may move
+                np.testing.assert_allclose(y, lt.y[t, 0], rtol=1e-12, atol=1e-12)
+            else:
+                np.testing.assert_array_equal(y, lt.y[t, 0])
+
+
+@pytest.mark.parametrize("soft", [False, True])
+def test_stream_keeps_the_parameters_it_started_with(soft):
+    # a stream's weights and cells are fixed at init_state: an Adam step in
+    # the middle of a stream reaches only the streams started after it
+    net = _driven_net("membrane_softmax", seed=41)
+    before = copy.deepcopy(net)
+    x = np.random.default_rng(17).normal(size=(30, 3))
+    states, head = _stream(net, x[:12], init_state(net, batch=1), soft)
+    grads = backward(net, forward_sequence(net, x), [1], MultiGaussian())
+    adam_step(net, grads, AdamState.for_net(net), lr=0.05)
+    for a, b in zip(before.layers, net.layers):
+        for k, p in a.param_arrays().items():
+            assert p is None or not np.array_equal(p, b.param_arrays()[k]), k
+    _, tail = _stream(net, x[12:], states, soft)
+    old = forward_sequence(before, x, soft=soft)
+    _assert_stream_matches(head + tail, old, soft)
+    _, fresh = _stream(net, x, init_state(net, batch=1), soft)
+    new = forward_sequence(net, x, soft=soft)
+    _assert_stream_matches(fresh, new, soft)
+    assert not np.allclose(new.head.y, old.head.y, rtol=1e-6, atol=0)
+
+
+def test_forward_step_needs_one_state_per_layer():
+    net = _driven_net("spike_count", seed=3)
+    states = init_state(net, batch=1)
+    for wrong in (states[:-1], states + states[:1], []):
+        with pytest.raises(ValueError, match="one state per layer"):
+            forward_step(net, np.zeros(3), wrong)
 
 
 def _assert_traces_close(got, want, batch=slice(None)):
