@@ -9,7 +9,9 @@ The pattern task draws, once per channel, how many spike events that
 channel carries, then gives each class its own event times. Every class
 therefore shows the same per-channel spike counts and differs only in
 when the events happen, so counting spikes cannot separate the classes;
-their temporal order can.
+their temporal order can. Generation costs one `choice` draw per (class,
+channel) for the templates, then one label draw and one jitter draw per
+sample; the same arguments give the same arrays as earlier versions.
 
 File formats kept deliberately plain:
   dense CSV   one row per timestep: label,v0,...,v{N-1}
@@ -20,8 +22,8 @@ File formats kept deliberately plain:
 from __future__ import annotations
 
 import json
-import math
 import struct
+import warnings
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Literal, get_args
@@ -81,6 +83,27 @@ class Dataset:
                        kind=self.kind, n_classes=self.n_classes)
 
 
+def _pattern_events(n_classes: int, t_steps: int, channels: int, seed: int,
+                    events_mean: float):
+    """Each class template's event times, channel by channel.
+
+    Returns (times, chans): times is (n_classes, n_events), every class's
+    events in channel order with each channel's times ascending; chans is
+    (n_events,), the channel of each event. Each channel's event count is
+    1 + Poisson(events_mean), clipped to t_steps, drawn once and shared by
+    all classes; each (class, channel) then draws its times without
+    replacement, one `choice` call apiece, from default_rng([seed, 0]).
+    """
+    rng = np.random.default_rng([seed, 0])
+    counts = np.minimum(1 + rng.poisson(events_mean, size=channels), t_steps)
+    chans = np.repeat(np.arange(channels), counts)
+    times = np.array([np.concatenate([rng.choice(t_steps, size=k, replace=False)
+                                      for k in counts])
+                      for _ in range(n_classes)])
+    # sort within each channel's run: times are distinct within a channel
+    return np.sort(times + t_steps * chans) - t_steps * chans, chans
+
+
 def gen_pattern_classification(n_classes: int, t_steps: int, channels: int,
                                jitter_std: float, seed: int,
                                n_samples: int = 200,
@@ -91,33 +114,30 @@ def gen_pattern_classification(n_classes: int, t_steps: int, channels: int,
     shared by all classes; each class places those events at its own
     uniformly drawn times. A sample is its class template with every event
     time shifted by rounded Gaussian jitter, clipped to the sequence.
+
+    Cost: one `choice` draw per (class, channel) for the templates, then
+    per sample one label draw and one jitter draw for all of its events.
+    Sample k draws from default_rng([seed, 1 + k]) alone, and the same
+    arguments give the same arrays as earlier versions of this function.
     """
     if n_classes < 2 or t_steps < 2 or channels < 1 or n_samples < 1:
         raise ValueError("need n_classes >= 2, t_steps >= 2, channels >= 1, "
                          "n_samples >= 1")
     if jitter_std < 0:
         raise ValueError("jitter_std must be non-negative")
-    rng = np.random.default_rng([seed, 0])
-    counts = 1 + rng.poisson(events_mean, size=channels)
-    counts = np.minimum(counts, t_steps)
-    templates = []   # per class: list over channels of event-time arrays
-    for _ in range(n_classes):
-        templates.append([np.sort(rng.choice(t_steps, size=counts[ch],
-                                             replace=False))
-                          for ch in range(channels)])
+    templates, chans = _pattern_events(n_classes, t_steps, channels, seed, events_mean)
     inputs = np.zeros((n_samples, t_steps, channels))
     labels = np.zeros(n_samples, dtype=int)
     for k in range(n_samples):
         srng = np.random.default_rng([seed, 1 + k])
-        label = int(srng.integers(n_classes))
-        labels[k] = label
-        for ch in range(channels):
-            times = templates[label][ch]
-            if jitter_std > 0:
-                times = times + np.rint(
-                    srng.normal(0.0, jitter_std, size=times.shape)).astype(int)
-                times = np.clip(times, 0, t_steps - 1)
-            inputs[k, times, ch] = 1.0
+        labels[k] = srng.integers(n_classes)
+        times = templates[labels[k]]
+        if jitter_std > 0:
+            # one draw of all events equals the per-channel draws in turn
+            times = times + np.rint(
+                srng.normal(0.0, jitter_std, size=times.shape)).astype(int)
+            times = np.clip(times, 0, t_steps - 1)
+        inputs[k, times, chans] = 1.0
     return Dataset(inputs=inputs, labels=labels,
                    kind="sequence-classification", n_classes=n_classes)
 
@@ -129,13 +149,9 @@ def pattern_templates(n_classes: int, t_steps: int, channels: int, seed: int,
     Returns (n_classes, t_steps, channels); useful as a nearest-template
     reference classifier.
     """
-    rng = np.random.default_rng([seed, 0])
-    counts = np.minimum(1 + rng.poisson(events_mean, size=channels), t_steps)
+    times, chans = _pattern_events(n_classes, t_steps, channels, seed, events_mean)
     out = np.zeros((n_classes, t_steps, channels))
-    for c in range(n_classes):
-        for ch in range(channels):
-            times = np.sort(rng.choice(t_steps, size=counts[ch], replace=False))
-            out[c, times, ch] = 1.0
+    out[np.arange(n_classes)[:, None], times, chans] = 1.0
     return out
 
 
@@ -188,35 +204,48 @@ def _parse_error(path, line_no: int, why: str) -> ValueError:
     return ValueError(f"{path}:{line_no}: {why}")
 
 
-def load_dense_csv(path, t_steps: int, channels: int) -> Dataset:
-    """Read label,v0,...,v{N-1} rows grouped into samples of t_steps rows.
-
-    A constant label column within a sample means sequence classification;
-    a varying one means streaming (applied uniformly over the file). A
-    field that is not a finite number fails, naming the file and line.
-    """
-    rows = []
+def _first_bad_row(path, channels: int) -> ValueError:
+    """The error of the first line of a dense CSV that is not a row of finite numbers."""
     with open(path) as f:
         for line_no, line in enumerate(f, start=1):
             line = line.strip()
             if not line:
                 continue
-            parts = line.split(",")
-            if len(parts) != channels + 1:
-                raise _parse_error(path, line_no,
-                                   f"expected {channels + 1} fields, got {len(parts)}")
+            n_fields = line.count(",") + 1
+            if n_fields != channels + 1:
+                return _parse_error(path, line_no,
+                                    f"expected {channels + 1} fields, got {n_fields}")
             try:
-                row = [float(p) for p in parts]
+                row = np.loadtxt([line], delimiter=",", comments=None)
             except ValueError:
-                raise _parse_error(path, line_no, "non-numeric field") from None
-            if not all(map(math.isfinite, row)):
-                raise _parse_error(path, line_no, "non-finite field")
-            rows.append(row)
-    if not rows or len(rows) % t_steps != 0:
-        raise ValueError(f"{path}: row count {len(rows)} is not a multiple "
+                return _parse_error(path, line_no, "non-numeric field")
+            if not np.isfinite(row).all():
+                return _parse_error(path, line_no, "non-finite field")
+    return ValueError(f"{path}: not a dense CSV")
+
+
+def load_dense_csv(path, t_steps: int, channels: int) -> Dataset:
+    """Read label,v0,...,v{N-1} rows grouped into samples of t_steps rows.
+
+    A constant label column within a sample means sequence classification;
+    a varying one means streaming (applied uniformly over the file). Blank
+    lines are skipped. A field that is not a finite number fails, naming
+    the file and line. The rows are parsed straight into one float array.
+    """
+    try:
+        with open(path) as f, warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)   # empty: reported below
+            rows = (line for line in map(str.strip, f) if line)
+            arr = np.loadtxt(rows, delimiter=",", comments=None, ndmin=2)
+    except ValueError:
+        raise _first_bad_row(path, channels) from None
+    if arr.size and (arr.shape[1] != channels + 1 or not np.isfinite(arr).all()):
+        raise _first_bad_row(path, channels)
+    n_rows = len(arr)
+    if not n_rows or n_rows % t_steps != 0:
+        raise ValueError(f"{path}: row count {n_rows} is not a multiple "
                          f"of t_steps={t_steps}")
-    arr = np.asarray(rows)
-    n = len(rows) // t_steps
+    n = n_rows // t_steps
     label_col = arr[:, 0].reshape(n, t_steps)
     if np.any(label_col != np.rint(label_col)):
         raise ValueError(f"{path}: labels must be integers")

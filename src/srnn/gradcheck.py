@@ -33,7 +33,7 @@ from srnn.surrogates import MultiGaussian, SurrogateKind, surrogate_grad
 from srnn.training import (
     GradientSet,
     LayerGrads,
-    _loss_and_seeds,
+    _score,
     backward,
     zero_grads,
 )
@@ -353,8 +353,7 @@ def _compare(reference: GradientSet, candidate: GradientSet,
 
 
 def _soft_loss(net, trace, targets) -> float:
-    loss, _, _, _, _ = _loss_and_seeds(net.spec.decode, trace.head, targets)
-    return loss
+    return _score(net.spec.decode, trace.head, targets)[0]
 
 
 def _kink_margin(net, trace) -> float:

@@ -330,16 +330,16 @@ def _layer_backward(layer: Layer, tr: LayerTrace, below_y: np.ndarray,
     return grads, g_below
 
 
-def _loss_and_seeds(decode: str, last: LayerTrace, targets,
-                    probs: Optional[np.ndarray] = None):
-    """Loss, external/direct seeds for the top layer, and accuracy stats.
+def _score(decode: str, last: LayerTrace, targets, probs: Optional[np.ndarray] = None):
+    """Summed loss and accuracy stats of the top layer's output.
 
-    Returns (loss_sum, g_ext, g_direct, correct, total_preds). Seeds are
-    gradients of the summed-over-batch loss. A caller that holds the
-    head's `step_probs` passes them as `probs`, which spares the membrane
-    decoders a second softmax.
+    Returns (loss_sum, correct, total_preds, p, at): p holds the
+    probabilities the loss reads, the (B, C) count softmax for spike_count
+    or the (T, B, C) step softmax otherwise, and p[at] are the targets'
+    entries. A caller that holds the head's `step_probs` passes them as
+    `probs`, which spares the membrane decoders a second softmax.
     """
-    t_steps, batch, n_cls = last.u.shape
+    t_steps, batch = last.u.shape[:2]
     targets = np.asarray(targets)
     if decode == "spike_count":
         labels = targets.reshape(-1).astype(int)
@@ -347,13 +347,10 @@ def _loss_and_seeds(decode: str, last: LayerTrace, targets,
             raise ValueError("spike_count decoding needs one label per sequence")
         z = last.y.sum(axis=0)
         p = _softmax(z)
-        picked = p[np.arange(batch), labels]
-        loss = float(-np.log(np.maximum(picked, 1e-300)).sum())
-        dz = p.copy()
-        dz[np.arange(batch), labels] -= 1.0
-        g_ext = np.broadcast_to(dz, (t_steps, batch, n_cls))
+        at = (np.arange(batch), labels)
+        loss = float(-np.log(np.maximum(p[at], 1e-300)).sum())
         correct = int((np.argmax(z, axis=1) == labels).sum())
-        return loss, g_ext, None, correct, batch
+        return loss, correct, batch, p, at
 
     # membrane decoders score every step
     if probs is None:
@@ -374,13 +371,25 @@ def _loss_and_seeds(decode: str, last: LayerTrace, targets,
         pred = np.argmax(last.u, axis=2)
         correct = int((pred == labels_tb).sum())
         total = batch * t_steps
-    ti = np.arange(t_steps)[:, None]
-    bi = np.arange(batch)[None, :]
-    picked = probs[ti, bi, labels_tb]
-    loss = float(-np.log(np.maximum(picked, 1e-300)).sum())
-    g_direct = probs.copy()
-    g_direct[ti, bi, labels_tb] -= 1.0
-    return loss, None, g_direct, correct, total
+    at = (np.arange(t_steps)[:, None], np.arange(batch)[None, :], labels_tb)
+    loss = float(-np.log(np.maximum(probs[at], 1e-300)).sum())
+    return loss, correct, total, probs, at
+
+
+def _loss_and_seeds(decode: str, last: LayerTrace, targets):
+    """Loss, external/direct seeds for the top layer, and accuracy stats.
+
+    Returns (loss_sum, g_ext, g_direct, correct, total_preds). Seeds are
+    gradients of the summed-over-batch loss: p minus the targets' one-hot,
+    over the counts for spike_count (the same seed at every step) and per
+    step for the membrane decoders.
+    """
+    loss, correct, total, p, at = _score(decode, last, targets)
+    seed = p.copy()
+    seed[at] -= 1.0
+    if decode == "spike_count":
+        return loss, np.broadcast_to(seed, last.u.shape), None, correct, total
+    return loss, None, seed, correct, total
 
 
 def _stack_backward(layers, traces, bottom_y, g_ext_top, g_direct_top,
@@ -683,7 +692,7 @@ def evaluate(net, data, chunk_size: int = 64) -> EvalReport:
         sl = slice(start, min(start + chunk_size, n))
         trace = forward_sequence(net, inputs[sl])
         probs = step_probs(trace, decode)
-        loss, _, _, c, tp = _loss_and_seeds(decode, trace.head, labels[sl], probs)
+        loss, c, tp, _, _ = _score(decode, trace.head, labels[sl], probs)
         loss_sum += loss
         correct += c
         total += tp

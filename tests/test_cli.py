@@ -1,5 +1,6 @@
 """End-to-end tests for the command-line interface."""
 
+import hashlib
 import json
 import math
 import os
@@ -271,6 +272,21 @@ def test_gen_writes_split_directories(tmp_path, capsys):
     assert main(["gen", "--config", cfg2, "--out", str(tmp_path / "x")]) == 2
 
 
+GEN_DIGESTS = json.loads((Path(__file__).parent / "data" / "gen_digests.json").read_text())
+
+
+@pytest.mark.parametrize("name", sorted(GEN_DIGESTS["configs"]))
+def test_gen_writes_the_pinned_bytes(tmp_path, capsys, name):
+    # same seeds, same files, in every version: the digests were written by
+    # an earlier version, so a change to the generators or the CSV writer
+    # that moves one byte fails here
+    cfg = write_config(tmp_path / "c.json", GEN_DIGESTS["configs"][name])
+    assert main(["gen", "--config", cfg, "--out", str(tmp_path / "sets")]) == 0
+    written = {f"{d.name}/{f.name}": hashlib.sha256(f.read_bytes()).hexdigest()
+               for d in (tmp_path / "sets").iterdir() for f in d.iterdir()}
+    assert written == GEN_DIGESTS["sha256"][name]
+
+
 def test_train_from_files_task(tmp_path):
     cfg = pattern_config(tmp_path, out_name="src")
     assert main(["gen", "--config", cfg, "--out", str(tmp_path / "corpus")]) == 0
@@ -501,6 +517,26 @@ MANIFEST_MUTATIONS = {
                                  "bad dataset: schema violation at channels"),
     "manifest-top-level-list": (lambda m: [m], "bad dataset: schema violation at "
                                                "(top level): expected an object"),
+    "manifest-sample-count": (lambda m: {**m, "n_samples": m["n_samples"] + 1},
+                              "bad dataset: {dir}/manifest.json: manifest sample "
+                              "count mismatch"),
+}
+
+# Dense-CSV mutations of a saved test split: (new rows, None to delete data.csv;
+# text the error must hold).
+DATA_CSV_MUTATIONS = {
+    "data-rows-cut": (lambda rows: rows[:-3], "bad dataset: {csv}: row count 37 is "
+                                              "not a multiple of t_steps=8"),
+    "data-extra-field": (lambda rows: [rows[0], rows[1] + ",0.0", *rows[2:]],
+                         "bad dataset: {csv}:2: expected 4 fields, got 5"),
+    "data-fractional-label": (lambda rows: ["0.5" + rows[0][1:], *rows[1:]],
+                              "bad dataset: {csv}: labels must be integers"),
+    "data-non-numeric": (lambda rows: [*rows[:2], rows[2].rsplit(",", 1)[0] + ",x",
+                                       *rows[3:]],
+                         "bad dataset: {csv}:3: non-numeric field"),
+    "data-empty": (lambda rows: [], "bad dataset: {csv}: row count 0 is not a "
+                                    "multiple of t_steps=8"),
+    "data-missing": (None, "dataset not found: {csv}"),
 }
 
 ARCH_FILES = {
@@ -566,16 +602,25 @@ def boundary_argv(tmp_path, case):
         mutate, why = MANIFEST_MUTATIONS[case]
         manifest = data / "manifest.json"
         manifest.write_text(json.dumps(mutate(json.loads(manifest.read_text()))))
-        return ["eval", "--model", str(model), "--data", str(data)], why
-    rows = (data / "data.csv").read_text().split("\n")
+        return ["eval", "--model", str(model), "--data", str(data)], why.format(dir=data)
+    csv = data / "data.csv"
+    if case in DATA_CSV_MUTATIONS:
+        mutate, why = DATA_CSV_MUTATIONS[case]
+        if mutate is None:
+            csv.unlink()
+        else:
+            csv.write_text("".join(f"{row}\n" for row in mutate(csv.read_text().splitlines())))
+        return ["eval", "--model", str(model), "--data", str(data)], why.format(csv=csv)
+    rows = csv.read_text().split("\n")
     rows[2] = rows[2].rsplit(",", 1)[0] + ",nan"
-    (data / "data.csv").write_text("\n".join(rows))
+    csv.write_text("\n".join(rows))
     argv = {"eval-nan-data": ["eval", "--model", str(model), "--data", str(data)],
             "energy-nan-data": ["energy", "--model", str(model), "--data", str(data)]}
     return argv[case], "data.csv:3: non-finite field"
 
 
 @pytest.mark.parametrize("case", [*CONFIG_MUTATIONS, *ARCH_FILES, *MANIFEST_MUTATIONS,
+                                  *DATA_CSV_MUTATIONS,
                                   "train-negative-seed", "gradcheck-negative-seed",
                                   "zero-threads", "eval-nan-data", "energy-nan-data",
                                   "streaming-task-ce", "energy-step-labels-spike-count",

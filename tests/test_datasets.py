@@ -1,6 +1,7 @@
 """Unit tests for synthetic task generators, loaders, and splitting."""
 
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -61,6 +62,57 @@ def test_nearest_template_oracle_recovers_labels():
     dists = np.abs(ds.inputs[:, None] - templates[None]).sum(axis=(2, 3))
     pred = dists.argmin(axis=1)
     assert (pred == ds.labels).mean() >= 0.9
+
+
+def reference_pattern_classification(n_classes, t_steps, channels, jitter_std, seed,
+                                     n_samples, events_mean):
+    """The per-channel loops the generator once ran: (inputs, labels, templates)."""
+    rng = np.random.default_rng([seed, 0])
+    counts = np.minimum(1 + rng.poisson(events_mean, size=channels), t_steps)
+    events = [[np.sort(rng.choice(t_steps, size=counts[ch], replace=False))
+               for ch in range(channels)] for _ in range(n_classes)]
+    templates = np.zeros((n_classes, t_steps, channels))
+    for c in range(n_classes):
+        for ch in range(channels):
+            templates[c, events[c][ch], ch] = 1.0
+    inputs = np.zeros((n_samples, t_steps, channels))
+    labels = np.zeros(n_samples, dtype=int)
+    for k in range(n_samples):
+        srng = np.random.default_rng([seed, 1 + k])
+        labels[k] = int(srng.integers(n_classes))
+        for ch in range(channels):
+            times = events[labels[k]][ch]
+            if jitter_std > 0:
+                times = times + np.rint(
+                    srng.normal(0.0, jitter_std, size=times.shape)).astype(int)
+                times = np.clip(times, 0, t_steps - 1)
+            inputs[k, times, ch] = 1.0
+    return inputs, labels, templates
+
+
+@pytest.mark.parametrize("n_classes, t_steps, channels, jitter_std, events_mean", [
+    (4, 50, 20, 1.0, 3.0),     # the README shape
+    (3, 40, 10, 0.0, 3.0),     # zero jitter
+    (2, 12, 6, 30.0, 3.0),     # jitter that clips at both ends
+    (3, 6, 5, 1.5, 40.0),      # counts clipped to t_steps
+    (2, 30, 1, 1.0, 3.0),      # a single channel
+    (20, 25, 8, 2.0, 3.0),     # many classes
+])
+def test_pattern_generator_matches_per_channel_reference(n_classes, t_steps, channels,
+                                                         jitter_std, events_mean):
+    for seed in (0, 7):
+        ds = gen_pattern_classification(n_classes, t_steps, channels, jitter_std,
+                                        seed=seed, n_samples=60, events_mean=events_mean)
+        inputs, labels, templates = reference_pattern_classification(
+            n_classes, t_steps, channels, jitter_std, seed, 60, events_mean)
+        assert np.array_equal(ds.inputs, inputs)
+        assert np.array_equal(ds.labels, labels)
+        assert np.array_equal(pattern_templates(n_classes, t_steps, channels, seed,
+                                                events_mean=events_mean), templates)
+    if jitter_std >= t_steps:
+        assert inputs[:, 0].any() and inputs[:, -1].any()
+    if events_mean > t_steps:
+        assert np.all(templates.sum(axis=1) == t_steps)
 
 
 def test_pattern_generator_validation():
@@ -186,6 +238,35 @@ def test_dense_csv_parse_errors(tmp_path):
     bad.write_text("0.5,1.0,2.0\n")
     with pytest.raises(ValueError, match="integers"):
         load_dense_csv(bad, t_steps=1, channels=2)
+
+
+def test_dense_csv_loads_without_per_value_objects(tmp_path):
+    # one Python float per value made the peak about 6x the array itself
+    ds = gen_pattern_classification(4, 50, 20, 1.0, seed=0, n_samples=1000)
+    path = tmp_path / "quick.csv"
+    save_dense_csv(ds, path)
+    tracemalloc.start()
+    try:
+        back = load_dense_csv(path, t_steps=50, channels=20)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(back.inputs, ds.inputs)
+    assert peak <= 3 * back.inputs.nbytes, (peak, back.inputs.nbytes)
+
+
+def test_dense_csv_skips_blank_lines(tmp_path):
+    path = tmp_path / "blank.csv"
+    path.write_text("\n0,1.0,2.0\n   \n1,3.5,-4.0\n\n")
+    ds = load_dense_csv(path, t_steps=2, channels=2)
+    assert ds.kind == "streaming"
+    assert np.array_equal(ds.inputs, [[[1.0, 2.0], [3.5, -4.0]]])
+    path.write_text("0,1.0,2.0\n\n0,1.0\n")
+    with pytest.raises(ValueError, match=r"blank\.csv:3: expected 3 fields, got 2"):
+        load_dense_csv(path, t_steps=2, channels=2)
+    path.write_text("\n\n")
+    with pytest.raises(ValueError, match="row count 0 is not a multiple"):
+        load_dense_csv(path, t_steps=2, channels=2)
 
 
 @pytest.mark.parametrize("field", ["nan", "inf", "-inf", "1e400"])

@@ -367,6 +367,23 @@ def test_evaluate_matches_manual_scoring():
     assert 0.0 <= rep.firing_rate <= 1.0
 
 
+@pytest.mark.parametrize("decode, out_neuron, step_labels", [
+    ("spike_count", "alif", False),
+    ("membrane_softmax", "readout", False),
+    ("membrane_softmax", "readout", True),
+])
+def test_evaluate_loss_equals_backward_loss(decode, out_neuron, step_labels):
+    # evaluate scores without forming gradient seeds; the loss must not move
+    data = toy_data(n=40, seed=3)
+    if step_labels:
+        data.labels = np.random.default_rng(4).integers(0, 3, size=(40, 12))
+    net = init_network(small_spec(decode, out_neuron), seed=0)
+    rep = evaluate(net, data)
+    grads = backward(net, forward_sequence(net, data.inputs), data.labels, MultiGaussian())
+    assert rep.loss == grads.loss / 40
+    assert rep.accuracy == grads.correct / grads.total_preds
+
+
 def test_training_reduces_loss_on_learnable_task():
     # two well-separated drive patterns; a couple of epochs must cut the loss
     rng = np.random.default_rng(12)
