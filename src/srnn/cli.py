@@ -358,8 +358,9 @@ def cmd_gradcheck(args) -> int:
         passed = (report.max_rel_err < check.tol_rel if mode == "relu_exact"
                   else report.max_abs_err < check.tol_abs)
         ok = ok and passed
+        noise = "" if report.fd_noise is None else f"fd noise {report.fd_noise:.3e}  "
         print(f"{mode}: max rel err {report.max_rel_err:.3e}  "
-              f"max abs err {report.max_abs_err:.3e}  "
+              f"max abs err {report.max_abs_err:.3e}  {noise}"
               f"params checked {report.checked}  "
               f"{'pass' if passed else 'FAIL'}")
     return 0 if ok else 1

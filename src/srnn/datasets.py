@@ -262,13 +262,21 @@ def load_dense_csv(path, t_steps: int, channels: int) -> Dataset:
 
 
 def save_dense_csv(ds: Dataset, path) -> None:
-    """Write a dataset in the dense CSV row format load_dense_csv reads."""
+    """Write a dataset in the dense CSV row format load_dense_csv reads.
+
+    Every value is written as repr(float(v)), which reads back exactly.
+    Each distinct value is formatted once: values are told apart by their
+    bits, so -0.0 keeps its sign.
+    """
+    x = np.ascontiguousarray(ds.inputs, dtype=float).reshape(
+        ds.n_samples * ds.t_steps, ds.channels)
+    bits, which = np.unique(x.view(np.uint64), return_inverse=True)
+    text = np.array([repr(v) for v in bits.view(np.float64).tolist()], dtype=object)
+    cells = text[which.reshape(x.shape)].tolist()
+    labels = ds.labels if ds.labels.ndim == 2 else ds.labels[:, None]
+    labels = np.broadcast_to(labels, (ds.n_samples, ds.t_steps)).ravel().tolist()
     with open(path, "w") as f:
-        for s in range(ds.n_samples):
-            for t in range(ds.t_steps):
-                label = ds.labels[s] if ds.labels.ndim == 1 else ds.labels[s, t]
-                vals = ",".join(repr(float(v)) for v in ds.inputs[s, t])
-                f.write(f"{int(label)},{vals}\n")
+        f.writelines(f"{label},{','.join(row)}\n" for label, row in zip(labels, cells))
 
 
 def load_event_csv(path) -> Dataset:

@@ -318,6 +318,10 @@ class GradCheckReport:
     families: dict[str, FamilyCheck]
     kink_margin: float
     loss: float
+    # eps * |loss| / h, the rounding floor of one central difference: the
+    # loss carries error of order eps * |loss|, and (up - down) / 2h scales
+    # it by 1/h. None for the tape, which takes no difference quotients.
+    fd_noise: Optional[float] = None
 
 
 def _compare(reference: GradientSet, candidate: GradientSet,
@@ -406,7 +410,10 @@ def grad_check(net, inputs, targets, mode: str = "relu_exact",
     kink_margin tells how close the reference forward pass came to a
     nonlinearity kink; finite differences are only trustworthy when it
     comfortably exceeds the probe step h. The finite-difference mode also
-    takes bidirectional networks; the tape covers plain stacks only.
+    takes bidirectional networks; the tape covers plain stacks only. In
+    the finite-difference mode the report's fd_noise is the rounding floor
+    of one difference quotient, which max_abs_err cannot be expected to
+    undercut.
     """
     if mode not in CHECK_MODES:
         raise ValueError(f"mode must be one of {CHECK_MODES}")
@@ -421,14 +428,16 @@ def grad_check(net, inputs, targets, mode: str = "relu_exact",
             raise FloatingPointError("soft-mode loss is not finite")
         reference = _fd_gradients(net, inputs, targets, h)
         margin = _kink_margin(net, trace)
+        fd_noise = float(np.finfo(float).eps * abs(loss) / h)
     else:
         trace = forward_sequence(net, inputs, soft=False)
         analytic = backward(net, trace, targets, surrogate)
         loss, tape_set = tape_gradients(net, inputs, targets, surrogate, soft=False)
         reference = tape_set
         margin = _kink_margin(net, trace)
+        fd_noise = None
 
     max_abs, max_rel, checked, families = _compare(reference, analytic)
     return GradCheckReport(mode=mode, max_abs_err=max_abs, max_rel_err=max_rel,
                            checked=checked, families=families,
-                           kink_margin=margin, loss=loss)
+                           kink_margin=margin, loss=loss, fd_noise=fd_noise)

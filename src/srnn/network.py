@@ -60,6 +60,21 @@ a copy of the layer's weights and its Cell, built once. `forward_step`
 reuses that copy and that cell on every step, so a stream's parameters
 are frozen from `init_state` on: an update of the network (`adam_step`,
 `fit`) reaches only the streams started after it.
+
+A stream's spiking layers are event-driven where their weights are wide.
+`init_state` puts a lif or alif layer's w_in, and its w_rec, on the event
+path when the matrix has at least EVENT_MIN_ENTRIES entries (2^15: with
+two n x n recurrent layers spiking at 2.5%, a step took longer on the
+event path at n = 128 and 160 and less at n = 192 and 256). On that path
+`forward_step` forms inp @ w as inp[:, r] @ w[r] over the rows r whose
+input is nonzero anywhere in the batch, so a step reads only the weight
+rows of the inputs that spiked. A call with more than half of the rows
+active (dense analog input, a large batch) takes the dense product.
+Below the constant the dense product is cheaper than the indexing. relu
+and readout layers always take the dense product: their output is the
+membrane, which must match forward_sequence bit for bit, while a spike
+absorbs the last-bit difference of a sum taken over fewer terms, as it
+absorbs the GEMV/GEMM difference above.
 """
 
 from __future__ import annotations
@@ -79,6 +94,9 @@ NEURON_KINDS = get_args(NeuronKind)
 SPIKING_KINDS = ("lif", "alif")
 DecodeMode = Literal["spike_count", "membrane_softmax", "spiking_membrane_softmax"]
 DECODE_MODES = get_args(DecodeMode)
+# A spiking layer's weight matrix with at least this many entries takes the
+# event product in online streams (see the module docstring).
+EVENT_MIN_ENTRIES = 1 << 15
 
 
 @dataclass
@@ -300,7 +318,8 @@ def init_state(net: Network, batch: int) -> list[LayerState]:
     the layer's Cell, built here once and reused by every forward_step of
     the stream. The stream's parameters are therefore fixed at this call:
     a later update of `net` does not reach it; start a new stream to run
-    the updated network.
+    the updated network. The cell also records which of a spiking layer's
+    products take the event path (see the module docstring).
     """
     _online(net)
     states = []
@@ -308,6 +327,9 @@ def init_state(net: Network, batch: int) -> list[LayerState]:
         frozen = replace(layer, **{k: None if a is None else a.copy()
                                    for k, a in layer.param_arrays().items()})
         c = cell(frozen)
+        if c.kind in SPIKING_KINDS:
+            c.event_in, c.event_rec = (w is not None and w.size >= EVENT_MIN_ENTRIES
+                                       for w in (frozen.w_in, frozen.w_rec))
         u = np.broadcast_to(layer.u_init, (batch, layer.size)).copy()
         y = np.zeros((batch, layer.size))
         eta = theta = None
@@ -330,6 +352,10 @@ class Cell:
     gain: np.ndarray                 # (n,) d u_t / d pre_t
     rho: Optional[np.ndarray]        # (n,) eta retention on adaptive layers
     eta_gain: Optional[np.ndarray]   # (n,) 1 - rho, d eta_t / d y_{t-1}
+    # set by init_state where a stream forms x @ w_in, y @ w_rec from the
+    # weight rows of active inputs only (see the module docstring)
+    event_in: bool = False
+    event_rec: bool = False
 
 
 def cell(layer: Layer) -> Cell:
@@ -366,18 +392,16 @@ def _step_layer(layer: Layer, c: Cell, pre: np.ndarray, prev: tuple,
                 soft: bool, out: tuple = (None, None, None)) -> tuple:
     """Advance one layer one step. Returns the new (u, y, eta, theta).
 
-    `pre` holds the step's feed-forward drive; the recurrent term
-    y_{t-1} @ w_rec is added to it in place. `prev` is the (u, y, eta,
-    theta) the step starts from; eta and theta are None on layers without
-    adaptation. The new u, y and eta are written into the arrays of `out`
-    (rows of a trace), or into fresh arrays where `out` holds None; theta
-    is always fresh, as the next step reads it for its threshold kick.
+    `pre` holds the step's whole drive, the recurrent term y_{t-1} @ w_rec
+    included. `prev` is the (u, y, eta, theta) the step starts from; eta
+    and theta are None on layers without adaptation. The new u, y and eta
+    are written into the arrays of `out` (rows of a trace), or into fresh
+    arrays where `out` holds None; theta is always fresh, as the next step
+    reads it for its threshold kick.
     """
     s = layer.spec
     u0, y0, eta0, theta0 = prev
     u, y, eta = out
-    if layer.w_rec is not None:
-        pre += y0 @ layer.w_rec
     held = u0 * (1.0 - y0) + s.u_r * y0 if c.kind == "lif" else u0
     u = np.multiply(c.decay, held, out=u)
     u += c.gain * pre
@@ -401,13 +425,29 @@ def _step_layer(layer: Layer, c: Cell, pre: np.ndarray, prev: tuple,
     return u, y, eta, None if c.rho is None else theta
 
 
+def _event_product(inp: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """inp @ w from the rows of w whose input is nonzero anywhere in the batch.
+
+    A batch with more than half of the rows active takes the dense product.
+    """
+    r = inp.any(axis=0).nonzero()[0]
+    if 2 * r.size > len(w):
+        return inp @ w
+    return inp.take(r, axis=1) @ w.take(r, axis=0)
+
+
 def forward_step(net: Network, x_t: np.ndarray, states: list[LayerState],
                  soft: bool = False):
     """One synchronous step through the stack. Returns (states', outputs).
 
-    `states` comes from init_state or the previous forward_step of the
-    same stream, one entry per layer of `net`. The step runs on the
-    weights and cells those states carry, fixed when the stream started.
+    `x_t` is one step of input, (N,) or (B, N). `states` comes from
+    init_state or the previous forward_step of the same stream, one entry
+    per layer of `net`. The step runs on the weights and cells those
+    states carry, fixed when the stream started. A spiking layer whose
+    w_in or w_rec has at least EVENT_MIN_ENTRIES entries forms that
+    product from the rows of its active inputs only, unless more than half
+    of them are active; relu and readout layers always take the dense
+    product (see the module docstring).
     """
     _online(net)
     if len(states) != len(net.layers):
@@ -416,11 +456,17 @@ def forward_step(net: Network, x_t: np.ndarray, states: list[LayerState],
     x_t = np.asarray(x_t, dtype=float)
     squeeze = x_t.ndim == 1
     inp = x_t[None, :] if squeeze else x_t
+    if inp.shape[-1] != net.spec.input_size:
+        raise ValueError(f"expected {net.spec.input_size} input channels, "
+                         f"got {inp.shape[-1]}")
     new_states, outputs = [], []
     for st in states:
         layer, c = st.layer, st.cell
-        pre = inp @ layer.w_in
+        pre = _event_product(inp, layer.w_in) if c.event_in else inp @ layer.w_in
         pre += layer.bias
+        if layer.w_rec is not None:
+            pre += (_event_product(st.y, layer.w_rec) if c.event_rec
+                    else st.y @ layer.w_rec)
         u, y, eta, theta = _step_layer(layer, c, pre, (st.u, st.y, st.eta, st.theta),
                                        soft)
         new_states.append(LayerState(u, y, eta, theta, layer, c))
@@ -497,6 +543,8 @@ def _run_layers(layers: list[Layer], x_tbn: np.ndarray, soft: bool) -> list[Laye
             if not hoisted:
                 np.matmul(inp[t], layer.w_in, out=pre)
                 pre += layer.bias
+            if layer.w_rec is not None:
+                pre += prev[1] @ layer.w_rec
             out = (tr.u[t], tr.y[t], None if tr.eta is None else tr.eta[t])
             prev = _step_layer(layer, c, pre, prev, soft, out)
         traces.append(tr)

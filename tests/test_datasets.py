@@ -224,6 +224,35 @@ def test_dense_csv_round_trip_streaming(tmp_path):
     assert np.array_equal(back.labels, ds.labels)
 
 
+def _reference_dense_csv(ds, path):
+    """The per-value writer save_dense_csv must match byte for byte."""
+    with open(path, "w") as f:
+        for s in range(ds.n_samples):
+            for t in range(ds.t_steps):
+                label = ds.labels[s] if ds.labels.ndim == 1 else ds.labels[s, t]
+                vals = ",".join(repr(float(v)) for v in ds.inputs[s, t])
+                f.write(f"{int(label)},{vals}\n")
+
+
+@pytest.mark.parametrize("kind", ["sequence-classification", "streaming"])
+def test_dense_csv_bytes_match_the_per_value_writer(tmp_path, kind):
+    rng = np.random.default_rng(4)
+    special = [0.0, -0.0, 5e-324, -2.5e-310, 2.2250738585072014e-308, 1e300,
+               -1.7976931348623157e308, 1e-300, 0.1, 1.0 / 3.0, 1e16, 123456789.0]
+    x = rng.choice(special, size=(5, 7, 4))
+    x[0] = rng.standard_normal((7, 4)) * 10.0 ** rng.integers(-320, 300, size=(7, 4))
+    labels = (rng.integers(0, 3, size=5) if kind == "sequence-classification"
+              else rng.integers(0, 3, size=(5, 7)))
+    ds = Dataset(inputs=x, labels=labels, kind=kind, n_classes=3)
+    got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+    save_dense_csv(ds, got)
+    _reference_dense_csv(ds, want)
+    assert got.read_bytes() == want.read_bytes()
+    assert (np.signbit(x) & (x == 0)).any()     # -0.0 is written apart from 0.0
+    back = load_dense_csv(got, t_steps=7, channels=4)
+    assert np.array_equal(back.inputs.view(np.uint64), x.view(np.uint64))
+
+
 def test_dense_csv_parse_errors(tmp_path):
     bad = tmp_path / "bad.csv"
     bad.write_text("0,1.0,2.0\n0,1.0\n")

@@ -118,6 +118,18 @@ def test_finite_differences_validate_bidirectional_backward(hidden):
     assert worst < 1e-4
 
 
+def test_fd_noise_bounds_the_error_of_a_long_summed_loss():
+    # With h=1e-5 the 34-step, 2-sample alif stack above scores a max rel
+    # err up to 8.1e-5 against the 1e-4 bound, on correct gradients. The
+    # absolute error is rounding noise of the ~75-nat loss: it measured
+    # 1.26x and 1.06x fd_noise = eps*|loss|/h (2.1e-9 and 1.8e-9).
+    for seed in range(2):
+        _, _, _, report = sample_case(
+            bidirectional_spec(seed, "alif"), seed, t_steps=34, batch=2, h=1e-5)
+        assert report.fd_noise == np.finfo(float).eps * abs(report.loss) / 1e-5
+        assert 0.25 * report.fd_noise <= report.max_abs_err <= 3.0 * report.fd_noise
+
+
 def test_tape_matches_vectorized_backward_in_hard_mode():
     for seed, surrogate in enumerate(
             (MultiGaussian(), Gaussian(), Linear(), SLayer())):
@@ -130,6 +142,7 @@ def test_tape_matches_vectorized_backward_in_hard_mode():
                             surrogate=surrogate)
         assert report.checked > 0
         assert report.max_abs_err < 1e-8
+        assert report.fd_noise is None
 
 
 def test_tape_gradients_agree_with_backward_directly():

@@ -10,6 +10,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from srnn.datasets import gen_pattern_classification
 from srnn.network import (
     LayerSpec,
     Network,
@@ -283,6 +284,57 @@ def test_forward_step_needs_one_state_per_layer():
     for wrong in (states[:-1], states + states[:1], []):
         with pytest.raises(ValueError, match="one state per layer"):
             forward_step(net, np.zeros(3), wrong)
+
+
+def _paper_net():
+    """700 -> 256r -> 256r alif -> 20 readout, the SHD-like shape."""
+    alif = dict(neuron="alif", recurrent=True, tau_m_init=(20.0, 5.0),
+                tau_adp_init=(200.0, 50.0), b_0=0.01, beta=1.8)
+    return init_network(NetworkSpec(
+        input_size=700,
+        layers=[LayerSpec(size=256, **alif), LayerSpec(size=256, **alif),
+                LayerSpec(size=20, neuron="readout")],
+        decode="membrane_softmax", seed=5))
+
+
+def test_forward_step_checks_the_input_width():
+    # the event product reads columns by index, so a narrower input would
+    # otherwise be read without complaint
+    for net in (_paper_net(), _driven_net("spike_count", seed=3)):
+        n = net.spec.input_size
+        states = init_state(net, batch=1)
+        for bad in (np.zeros(n - 1), np.zeros((1, n + 1))):
+            with pytest.raises(ValueError,
+                               match=f"expected {n} input channels, got {bad.shape[-1]}"):
+                forward_step(net, bad, states)
+
+
+@pytest.mark.parametrize("soft", [False, True])
+def test_wide_spiking_layers_stream_from_active_rows(soft):
+    # the hidden layers' weights are wide enough for the event product, the
+    # readout's output is its membrane and stays on the dense product
+    net = _paper_net()
+    events = [(s.cell.event_in, s.cell.event_rec) for s in init_state(net, batch=1)]
+    assert events == [(True, True), (True, True), (False, False)]
+    x = gen_pattern_classification(4, 60, 700, 1.0, seed=3, n_samples=5).inputs
+    x[1, 7] = 0.0                                    # a step without events
+    dense = np.random.default_rng(5).standard_normal((1, 60, 700))
+    # two sequences at batch 1, a batch of 3, and an input too dense for events
+    for batch in (x[:1], x[1:2], x[2:], dense):
+        trace = forward_sequence(net, batch, soft=soft)
+        states = init_state(net, batch=len(batch))
+        for t in range(batch.shape[1]):
+            x_t = batch[0, t] if len(batch) == 1 else batch[:, t]
+            states, outs = forward_step(net, x_t, states, soft=soft)
+            for lt, y in zip(trace.layers, outs, strict=True):
+                want = lt.y[t, 0] if len(batch) == 1 else lt.y[t]
+                if soft:
+                    np.testing.assert_allclose(y, want, rtol=1e-12, atol=1e-12)
+                else:
+                    np.testing.assert_array_equal(y, want)
+        if batch is not dense:   # the hidden layers fired, mostly below the guard
+            for lt in trace.layers[:2]:
+                assert 0.0 < np.mean(lt.y > 0) < 0.5
 
 
 def _assert_traces_close(got, want, batch=slice(None)):
