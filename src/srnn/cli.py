@@ -103,6 +103,8 @@ class CheckConfig:
     def __post_init__(self):
         if self.modes == []:
             raise ValueError("modes must name at least one check")
+        if self.tol_rel <= 0 or self.tol_abs <= 0:
+            raise ValueError("tol_rel and tol_abs must be positive")
         if self.t_steps < 1 or self.batch < 1:
             raise ValueError("t_steps and batch must be at least 1")
         if self.seed < 0:
@@ -298,6 +300,10 @@ def cmd_eval(args) -> int:
 def cmd_energy(args) -> int:
     if bool(args.model) == bool(args.arch):
         raise UsageError("give exactly one of --model or --arch")
+    if args.arch and args.data:
+        raise UsageError("--data measures fr on a --model; --arch takes --fr")
+    if args.data and args.fr is not None:
+        raise UsageError("give --data (to measure fr) or --fr, not both")
     sops = None
     if args.model:
         net = _load_model_file(args.model)

@@ -28,7 +28,7 @@ from typing import Literal, Optional, get_args
 
 import numpy as np
 
-from srnn.network import Network, _as_time_batch, forward_sequence
+from srnn.network import Network, _as_time_batch, cell, forward_sequence
 from srnn.surrogates import MultiGaussian, SurrogateKind, surrogate_grad
 from srnn.training import (
     GradientSet,
@@ -364,11 +364,8 @@ def _kink_margin(net, trace) -> float:
     """Distance from every unit-step state to its nearest nonlinearity kink."""
     margin = math.inf
     for layer, lt in zip(net.all_layers, trace.all_layers):
-        s = layer.spec
-        if lt.neuron == "alif":
-            margin = min(margin, float(np.min(np.abs(lt.u - (s.b_0 + s.beta * lt.eta)))))
-        elif lt.neuron == "lif":
-            margin = min(margin, float(np.min(np.abs(lt.u - s.theta))))
+        if lt.spiking:
+            margin = min(margin, float(np.min(np.abs(lt.u - cell(layer).threshold(lt.eta)))))
         elif lt.neuron == "relu":
             margin = min(margin, float(np.min(np.abs(lt.u))))
     return margin

@@ -15,7 +15,7 @@ sequence, so the online API rejects such a network. `layers + back` is
 the canonical order of trainable layers, which gradients, optimizer state
 and cost accounting follow.
 
-All four neuron kinds run one leaky membrane recursion (see `cell`),
+All four neuron kinds run one leaky membrane recursion,
 
     u_t = decay * held_t + gain * pre_t  [- theta_{t-1} * y_{t-1}]
 
@@ -27,7 +27,11 @@ All four neuron kinds run one leaky membrane recursion (see `cell`),
 
 with gain = r_m * (1 - decay). Adaptive layers also carry
 eta_t = rho * eta_{t-1} + (1 - rho) * y_{t-1} and fire against
-theta_t = b_0 + beta * eta_t; the trace records eta, not theta.
+theta_t = b_0 + beta * eta_t; the trace records eta, not theta. A layer's
+`Cell` is the one home of these rules: its coefficients and their
+derivatives in the time constants, its threshold and its reset. Forward
+passes, the online step and the reverse sweep in srnn.training all read
+them from there.
 
 A sequence runs layer-major: each layer runs over all T steps before
 the next starts, writing u, y and eta straight into its trace. Where the
@@ -129,6 +133,8 @@ class LayerSpec:
             raise ValueError("dt must be positive")
         if self.theta <= self.u_r:
             raise ValueError("theta must exceed u_r")
+        if self.beta < 0:
+            raise ValueError("beta must be non-negative")
 
 
 @dataclass
@@ -330,66 +336,74 @@ def init_state(net: Network, batch: int) -> list[LayerState]:
         if c.kind in SPIKING_KINDS:
             c.event_in, c.event_rec = (w is not None and w.size >= EVENT_MIN_ENTRIES
                                        for w in (frozen.w_in, frozen.w_rec))
-        u = np.broadcast_to(layer.u_init, (batch, layer.size)).copy()
-        y = np.zeros((batch, layer.size))
-        eta = theta = None
-        if c.rho is not None:
-            eta = np.zeros((batch, layer.size))
-            theta = _threshold(layer.spec, eta)
-        states.append(LayerState(u, y, eta, theta, frozen, c))
+        states.append(LayerState(*_initial(frozen, c, batch), frozen, c))
     return states
-
-
-_EXP_DECAY_KINDS = ("alif", "relu")
 
 
 @dataclass(slots=True)
 class Cell:
-    """Coefficients of one layer's membrane recursion, fixed over a sequence."""
+    """One layer's dynamics over a sequence, its kind's rules included."""
 
-    kind: str
+    kind: str                        # spec.neuron, read on every step
+    spec: LayerSpec
     decay: np.ndarray                # (n,) d u_t / d held_t
     gain: np.ndarray                 # (n,) d u_t / d pre_t
-    rho: Optional[np.ndarray]        # (n,) eta retention on adaptive layers
-    eta_gain: Optional[np.ndarray]   # (n,) 1 - rho, d eta_t / d y_{t-1}
+    decay_tau: np.ndarray            # (n,) d decay / d tau_m; gain moves as -r_m times it
+    rho: Optional[np.ndarray] = None       # (n,) eta retention on adaptive layers
+    eta_gain: Optional[np.ndarray] = None  # (n,) 1 - rho, d eta_t / d y_{t-1}
+    rho_tau: Optional[np.ndarray] = None   # (n,) d rho / d tau_adp
     # set by init_state where a stream forms x @ w_in, y @ w_rec from the
     # weight rows of active inputs only (see the module docstring)
     event_in: bool = False
     event_rec: bool = False
 
+    def threshold(self, eta: Optional[np.ndarray]):
+        """theta: spec.theta, or b_0 + beta * eta in a fresh array on adaptive layers."""
+        if self.rho is None:
+            return self.spec.theta
+        theta = self.spec.beta * eta
+        theta += self.spec.b_0
+        return theta
+
+    def held(self, u: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """The membrane the next step decays from: a lif unit rests at u_r after a spike."""
+        if self.kind == "lif":
+            return u * (1.0 - y) + self.spec.u_r * y
+        return u
+
 
 def cell(layer: Layer) -> Cell:
-    """The layer's recursion coefficients (see the module docstring)."""
+    """The layer's Cell (see the module docstring for the recursion)."""
     s = layer.spec
-    if s.neuron in _EXP_DECAY_KINDS:
+    if s.neuron in ("alif", "relu"):
         decay = np.exp(-s.dt / layer.tau_m)
         gain = (1.0 - decay) * s.r_m
+        decay_tau = decay * s.dt / layer.tau_m ** 2
     else:
         decay = 1.0 - s.dt / layer.tau_m
         gain = s.r_m * s.dt / layer.tau_m
+        decay_tau = s.dt / layer.tau_m ** 2
     if layer.tau_adp is None:
-        return Cell(s.neuron, decay, gain, None, None)
+        return Cell(s.neuron, s, decay, gain, decay_tau)
     rho = np.exp(-s.dt / layer.tau_adp)
-    return Cell(s.neuron, decay, gain, rho, 1.0 - rho)
+    return Cell(s.neuron, s, decay, gain, decay_tau, rho, 1.0 - rho,
+                rho * s.dt / layer.tau_adp ** 2)
 
 
-def decay_tau_grad(layer: Layer, decay: np.ndarray) -> np.ndarray:
-    """d decay / d tau_m of the layer's integrator; gain moves as -r_m times it."""
-    s = layer.spec
-    if s.neuron in _EXP_DECAY_KINDS:
-        return decay * s.dt / layer.tau_m ** 2
-    return s.dt / layer.tau_m ** 2
+def _initial(layer: Layer, c: Cell, batch: int) -> tuple:
+    """The (u, y, eta, theta) a batch starts from; eta, theta None without adaptation.
+
+    u is copied C-ordered: astype on the broadcast view gives F order,
+    which can change BLAS's sum order in the products downstream.
+    """
+    shape = (batch, layer.size)
+    u = np.broadcast_to(layer.u_init, shape).copy()
+    eta = None if c.rho is None else np.zeros(shape)
+    return u, np.zeros(shape), eta, None if eta is None else c.threshold(eta)
 
 
-def _threshold(s: LayerSpec, eta: np.ndarray) -> np.ndarray:
-    """theta = b_0 + beta * eta of an adaptive layer, in a fresh array."""
-    theta = s.beta * eta
-    theta += s.b_0
-    return theta
-
-
-def _step_layer(layer: Layer, c: Cell, pre: np.ndarray, prev: tuple,
-                soft: bool, out: tuple = (None, None, None)) -> tuple:
+def _step_layer(c: Cell, pre: np.ndarray, prev: tuple, soft: bool,
+                out: tuple = (None, None, None)) -> tuple:
     """Advance one layer one step. Returns the new (u, y, eta, theta).
 
     `pre` holds the step's whole drive, the recurrent term y_{t-1} @ w_rec
@@ -399,18 +413,15 @@ def _step_layer(layer: Layer, c: Cell, pre: np.ndarray, prev: tuple,
     arrays where `out` holds None; theta is always fresh, as the next step
     reads it for its threshold kick.
     """
-    s = layer.spec
     u0, y0, eta0, theta0 = prev
     u, y, eta = out
-    held = u0 * (1.0 - y0) + s.u_r * y0 if c.kind == "lif" else u0
-    u = np.multiply(c.decay, held, out=u)
+    u = np.multiply(c.decay, c.held(u0, y0), out=u)
     u += c.gain * pre
-    theta = s.theta
     if c.rho is not None:
         u -= theta0 * y0
         eta = np.multiply(c.rho, eta0, out=eta)
         eta += c.eta_gain * y0
-        theta = _threshold(s, eta)
+    theta = c.threshold(eta)
     if c.kind == "readout":
         if y is None:
             y = u
@@ -467,8 +478,7 @@ def forward_step(net: Network, x_t: np.ndarray, states: list[LayerState],
         if layer.w_rec is not None:
             pre += (_event_product(st.y, layer.w_rec) if c.event_rec
                     else st.y @ layer.w_rec)
-        u, y, eta, theta = _step_layer(layer, c, pre, (st.u, st.y, st.eta, st.theta),
-                                       soft)
+        u, y, eta, theta = _step_layer(c, pre, (st.u, st.y, st.eta, st.theta), soft)
         new_states.append(LayerState(u, y, eta, theta, layer, c))
         outputs.append(y[0] if squeeze else y)
         inp = y
@@ -509,19 +519,6 @@ def _project(inp: np.ndarray, w: np.ndarray, out: np.ndarray) -> None:
     np.matmul(inp.transpose(1, 0, 2), w, out=out.transpose(1, 0, 2))
 
 
-def _new_trace(layer: Layer, t_steps: int, batch: int) -> LayerTrace:
-    shape = (t_steps, batch, layer.size)
-    adaptive = layer.tau_adp is not None
-    return LayerTrace(
-        neuron=layer.spec.neuron,
-        pre=np.empty(shape), u=np.empty(shape), y=np.empty(shape),
-        eta=np.empty(shape) if adaptive else None,
-        u_init=np.broadcast_to(layer.u_init, shape[1:]).astype(float),
-        y_init=np.zeros(shape[1:]),
-        eta_init=np.zeros(shape[1:]) if adaptive else None,
-    )
-
-
 def _run_layers(layers: list[Layer], x_tbn: np.ndarray, soft: bool) -> list[LayerTrace]:
     """Run the stack layer by layer over the whole sequence; one trace each.
 
@@ -532,13 +529,15 @@ def _run_layers(layers: list[Layer], x_tbn: np.ndarray, soft: bool) -> list[Laye
     traces, inp = [], x_tbn
     for layer in layers:
         c = cell(layer)
-        tr = _new_trace(layer, *inp.shape[:2])
+        prev = _initial(layer, c, inp.shape[1])
+        shape = inp.shape[:2] + (layer.size,)
+        tr = LayerTrace(neuron=c.kind, pre=np.empty(shape), u=np.empty(shape),
+                        y=np.empty(shape), eta=None if c.rho is None else np.empty(shape),
+                        u_init=prev[0], y_init=prev[1], eta_init=prev[2])
         hoisted = soft or c.kind in SPIKING_KINDS
         if hoisted:
             _project(inp, layer.w_in, tr.pre)
             tr.pre += layer.bias
-        theta = None if c.rho is None else _threshold(layer.spec, tr.eta_init)
-        prev = (tr.u_init, tr.y_init, tr.eta_init, theta)
         for t, pre in enumerate(tr.pre):
             if not hoisted:
                 np.matmul(inp[t], layer.w_in, out=pre)
@@ -546,7 +545,7 @@ def _run_layers(layers: list[Layer], x_tbn: np.ndarray, soft: bool) -> list[Laye
             if layer.w_rec is not None:
                 pre += prev[1] @ layer.w_rec
             out = (tr.u[t], tr.y[t], None if tr.eta is None else tr.eta[t])
-            prev = _step_layer(layer, c, pre, prev, soft, out)
+            prev = _step_layer(c, pre, prev, soft, out)
         traces.append(tr)
         inp = tr.y
     return traces

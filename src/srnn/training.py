@@ -4,7 +4,7 @@ The backward pass walks each layer's recorded trace from the last step to
 the first, carrying adjoints for the membrane and (on adaptive layers) the
 adaptation variable. One sweep serves every neuron kind: the kind enters
 only through its partials (see `_block_partials`) and, on adaptive
-layers, the eta chain, whose threshold b_0 + beta*eta is derived from
+layers, the eta chain, whose threshold `Cell.threshold` forms from
 the recorded eta. At every spike the configured surrogate stands in for
 the derivative of the threshold test, so the membrane and adaptation
 chains stay differentiable while the spikes themselves remain binary. The
@@ -54,7 +54,6 @@ from srnn.network import (
     NetworkSpec,
     _project,
     cell,
-    decay_tau_grad,
     forward_sequence,
     init_network,
 )
@@ -221,7 +220,7 @@ def _sum_outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a.reshape(-1, a.shape[2]).T @ b.reshape(-1, b.shape[2])
 
 
-def _block_partials(layer: Layer, c: Cell, tr: LayerTrace, t0: int, t1: int,
+def _block_partials(c: Cell, tr: LayerTrace, t0: int, t1: int,
                     surrogate: SurrogateKind, soft: bool):
     """The kind's partials over steps [t0, t1): (carry, slope, dy_next).
 
@@ -229,19 +228,18 @@ def _block_partials(layer: Layer, c: Cell, tr: LayerTrace, t0: int, t1: int,
     it step-dependent; slope = d y_t / d u_t, None for the readout (y = u);
     dy_next = d u_{t+1} / d y_t of the reset, None unless soft.
     """
-    s = layer.spec
     u = tr.u[t0:t1]
     if c.kind == "readout":
         return c.decay, None, None
     if c.kind == "relu":
         return c.decay, (u > 0).astype(float), None
-    theta = s.theta if c.rho is None else s.b_0 + s.beta * tr.eta[t0:t1]
+    theta = c.threshold(None if tr.eta is None else tr.eta[t0:t1])
     if soft:
         slope = (u >= theta).astype(float)
     else:
         slope = surrogate_grad(surrogate, u, theta)
     if c.kind == "lif":
-        reset = c.decay * (s.u_r - u) if soft else None
+        reset = c.decay * (c.spec.u_r - u) if soft else None
         return c.decay * (1.0 - tr.y[t0:t1]), slope, reset
     return c.decay, slope, -theta if soft else None
 
@@ -274,7 +272,7 @@ def _layer_backward(layer: Layer, tr: LayerTrace, below_y: np.ndarray,
         acc_tau_adp = np.zeros(n)
 
     for t0, t1 in _blocks(t_steps):
-        carry, slope, dy_next = _block_partials(layer, c, tr, t0, t1, surrogate, soft)
+        carry, slope, dy_next = _block_partials(c, tr, t0, t1, surrogate, soft)
         for t in range(t1 - 1, t0 - 1, -1):
             k = t - t0
             gy = no_ext if g_ext is None else g_ext[t]
@@ -297,20 +295,17 @@ def _layer_backward(layer: Layer, tr: LayerTrace, below_y: np.ndarray,
                 lam_eta[k] -= s.beta * q
                 lam_eta_next = lam_eta[k]
             lam_u_next = lam_u
-        held = _prev(tr.u, tr.u_init, t0, t1)
-        if c.kind == "lif":
-            y_prev = _prev(tr.y, tr.y_init, t0, t1)
-            held = held * (1.0 - y_prev) + s.u_r * y_prev
+        y_prev = _prev(tr.y, tr.y_init, t0, t1)
+        held = c.held(_prev(tr.u, tr.u_init, t0, t1), y_prev)
         acc_tau_m += np.einsum("tbn,tbn->n", dpre[t0:t1], held - s.r_m * tr.pre[t0:t1])
         if adaptive:
-            adapt = _prev(tr.eta, tr.eta_init, t0, t1) - _prev(tr.y, tr.y_init, t0, t1)
+            adapt = _prev(tr.eta, tr.eta_init, t0, t1) - y_prev
             acc_tau_adp += np.einsum("tbn,tbn->n", lam_eta[:t1 - t0], adapt)
 
-    d_tau_m = acc_tau_m * decay_tau_grad(layer, c.decay) if train_tau_m else np.zeros(n)
+    d_tau_m = acc_tau_m * c.decay_tau if train_tau_m else np.zeros(n)
     d_tau_adp = None
     if adaptive:
-        d_tau_adp = acc_tau_adp * (c.rho * s.dt / layer.tau_adp ** 2) \
-            if train_tau_adp else np.zeros(n)
+        d_tau_adp = acc_tau_adp * c.rho_tau if train_tau_adp else np.zeros(n)
 
     dpre *= c.gain
     w_rec = None

@@ -360,6 +360,12 @@ def test_energy_usage_errors(tmp_path):
     assert main(["energy", "--model", model, "--fr", "1.5"]) == 2
     assert main(["energy", "--model", str(tmp_path / "no.json"),
                  "--fr", "0.1"]) == 2
+    # conflicting flags are refused, not ignored
+    assert main(["energy", "--arch", str(arch_path), "--fr", "0.1",
+                 "--data", str(tmp_path / "nonexistent")]) == 2
+    assert main(["gen", "--config", cfg, "--out", str(tmp_path / "sets")]) == 0
+    assert main(["energy", "--model", model, "--data", str(tmp_path / "sets" / "test"),
+                 "--fr", "0.3"]) == 2
 
 
 def test_malformed_model_files_exit_2(tmp_path, capsys):
@@ -504,6 +510,10 @@ CONFIG_MUTATIONS = {
     "check-zero-steps": ("check/t_steps", 0, "at least 1"),
     "check-zero-batch": ("check/batch", 0, "at least 1"),
     "check-no-modes": ("check/modes", [], "at least one check"),
+    "check-zero-tol-rel": ("check/tol_rel", 0.0, "tol_rel and tol_abs must be positive"),
+    "check-negative-tol-abs": ("check/tol_abs", -1e-8,
+                               "tol_rel and tol_abs must be positive"),
+    "network-negative-beta": ("network/layers/0/beta", -0.1, "beta must be non-negative"),
     "pattern-task-nll-streaming": ("training/loss", "nll_streaming", "training/loss"),
     "task-more-classes-than-head": ("task/n_classes", 3, "head is 2 wide"),
 }

@@ -15,6 +15,7 @@ from srnn.network import (
     LayerSpec,
     Network,
     NetworkSpec,
+    cell,
     forward_sequence,
     forward_step,
     init_network,
@@ -221,18 +222,19 @@ def _driven_net(stack, seed):
 
 
 @pytest.mark.parametrize("stack", sorted(STEP_STACKS))
-def test_forward_step_equals_forward_sequence_at_batch_one(stack):
-    # the online contract: streaming one sample step by step reproduces the
+@pytest.mark.parametrize("batch", [1, 3])
+def test_forward_step_equals_forward_sequence(batch, stack):
+    # the online contract: streaming a batch step by step reproduces the
     # sequence trace's outputs bit for bit, membranes included where the
-    # output is one (relu, readout)
+    # output is one (relu, readout); batch 1 streams (N,) steps
     net = _driven_net(stack, seed=31)
-    x = np.random.default_rng(13).normal(size=(48, 3))
+    x = np.random.default_rng(13).normal(size=(batch, 48, 3))
     trace = forward_sequence(net, x)
-    states = init_state(net, batch=1)
+    states = init_state(net, batch=batch)
     for t in range(48):
-        states, outs = forward_step(net, x[t], states)
+        states, outs = forward_step(net, x[0, t] if batch == 1 else x[:, t], states)
         for lt, y in zip(trace.layers, outs):
-            np.testing.assert_array_equal(lt.y[t, 0], y)
+            np.testing.assert_array_equal(lt.y[t].reshape(y.shape), y)
     for lt in trace.layers:
         if lt.spiking:
             assert 0.0 < lt.y.mean() < 1.0   # spikes and resets were exercised
@@ -485,6 +487,30 @@ def test_forward_matches_neuron_step_oracle(kind, recurrent):
         assert 0.0 < trace.y.mean() < 1.0   # spikes and resets were exercised
 
 
+@pytest.mark.parametrize("kind", ["lif", "alif", "relu", "readout"])
+def test_cell_time_constant_derivatives(kind):
+    # decay_tau and rho_tau against central differences of decay and rho
+    spec = NetworkSpec(input_size=2, layers=[LayerSpec(size=6, neuron=kind),
+                                             LayerSpec(size=2, neuron="readout")],
+                       decode="membrane_softmax")
+    layer = init_network(spec, seed=5).layers[0]
+    c = cell(layer)
+    for tau, coeff, deriv in (("tau_m", "decay", c.decay_tau),
+                              ("tau_adp", "rho", c.rho_tau)):
+        if getattr(layer, tau) is None:
+            assert deriv is None and getattr(c, coeff) is None
+            continue
+        base = getattr(layer, tau).copy()
+        h = 1e-4 * base
+        quotients = []
+        for sign in (1.0, -1.0):
+            setattr(layer, tau, base + sign * h)
+            quotients.append(getattr(cell(layer), coeff))
+        setattr(layer, tau, base)
+        np.testing.assert_allclose(deriv, (quotients[0] - quotients[1]) / (2 * h),
+                                   rtol=1e-7)
+
+
 def bidi_spec(**kw):
     args = dict(
         input_size=3,
@@ -710,6 +736,9 @@ def test_spec_validation():
         LayerSpec(size=3, tau_m_init=(0.0, 1.0))
     with pytest.raises(ValueError):
         LayerSpec(size=3, neuron="lif", theta=0.0, u_r=0.5)
+    with pytest.raises(ValueError, match="beta must be non-negative"):
+        # neurons.AlifParams refuses the same unit
+        LayerSpec(size=3, beta=-0.1)
     with pytest.raises(ValueError):
         NetworkSpec(input_size=0, layers=[LayerSpec(size=2)])
     with pytest.raises(ValueError):
