@@ -438,6 +438,9 @@ def main(argv=None) -> int:
     except UsageError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
+    except MemoryError as e:
+        print(f"error: out of memory: {e}", file=sys.stderr)
+        return 2
     except (FloatingPointError, ValueError) as e:
         print(f"numeric failure: {e}", file=sys.stderr)
         return 1

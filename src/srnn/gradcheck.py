@@ -28,15 +28,9 @@ from typing import Literal, Optional, get_args
 
 import numpy as np
 
-from srnn.network import Network, _as_time_batch, cell, forward_sequence
+from srnn.network import Network, _as_time_batch, forward_sequence
 from srnn.surrogates import MultiGaussian, SurrogateKind, surrogate_grad
-from srnn.training import (
-    GradientSet,
-    LayerGrads,
-    _score,
-    backward,
-    zero_grads,
-)
+from srnn.training import GradientSet, _score, backward, zero_grads
 
 CheckMode = Literal["relu_exact", "surrogate_consistency"]
 CHECK_MODES = get_args(CheckMode)
@@ -114,21 +108,17 @@ class Tape:
                 parent.grad += node.grad * local
 
 
+def _leaves(tape: Tape, a: np.ndarray):
+    """Nested lists of leaf nodes, one per entry of a 1-D or 2-D array."""
+    if a.ndim == 1:
+        return [tape.leaf(v) for v in a]
+    return [_leaves(tape, row) for row in a]
+
+
 def _param_nodes(tape: Tape, net: Network):
-    """Leaf nodes for every trainable array, mirroring layer shapes."""
-    per_layer = []
-    for layer in net.layers:
-        entry = {
-            "w_in": [[tape.leaf(v) for v in row] for row in layer.w_in],
-            "w_rec": ([[tape.leaf(v) for v in row] for row in layer.w_rec]
-                      if layer.w_rec is not None else None),
-            "bias": [tape.leaf(v) for v in layer.bias],
-            "tau_m": [tape.leaf(v) for v in layer.tau_m],
-            "tau_adp": ([tape.leaf(v) for v in layer.tau_adp]
-                        if layer.tau_adp is not None else None),
-        }
-        per_layer.append(entry)
-    return per_layer
+    """Leaf nodes for every trainable array, keyed like `Layer.param_arrays()`."""
+    return [{k: None if a is None else _leaves(tape, a)
+             for k, a in layer.param_arrays().items()} for layer in net.layers]
 
 
 def _drive(tape: Tape, params: dict, j: int, below, y_prev) -> Node:
@@ -296,9 +286,7 @@ def tape_gradients(net: Network, inputs, targets, surrogate: SurrogateKind,
             return np.array([[n.grad for n in row] for row in nodes])
         return np.array([n.grad for n in nodes])
 
-    layers = [LayerGrads(w_in=grab(p["w_in"]), w_rec=grab(p["w_rec"]),
-                         bias=grab(p["bias"]), tau_m=grab(p["tau_m"]),
-                         tau_adp=grab(p["tau_adp"])) for p in params]
+    layers = [{k: grab(nodes) for k, nodes in p.items()} for p in params]
     return root.value, GradientSet(layers=layers, loss=root.value)
 
 
@@ -336,10 +324,10 @@ def _compare(reference: GradientSet, candidate: GradientSet,
     """
     families: dict[str, FamilyCheck] = {}
     for ref_l, cand_l in zip(reference.layers, candidate.layers):
-        for name, ref in ref_l.arrays().items():
+        for name, ref in ref_l.items():
             if ref is None:
                 continue
-            cand = cand_l.arrays()[name]
+            cand = cand_l[name]
             fam = families.setdefault(name, FamilyCheck())
             diff = np.abs(ref - cand)
             denom = np.maximum(np.abs(ref), np.abs(cand))
@@ -363,10 +351,10 @@ def _soft_loss(net, trace, targets) -> float:
 def _kink_margin(net, trace) -> float:
     """Distance from every unit-step state to its nearest nonlinearity kink."""
     margin = math.inf
-    for layer, lt in zip(net.all_layers, trace.all_layers):
+    for lt in trace.all_layers:
         if lt.spiking:
-            margin = min(margin, float(np.min(np.abs(lt.u - cell(layer).threshold(lt.eta)))))
-        elif lt.neuron == "relu":
+            margin = min(margin, float(np.min(np.abs(lt.u - lt.cell.threshold(lt.eta)))))
+        elif lt.cell.kind == "relu":
             margin = min(margin, float(np.min(np.abs(lt.u))))
     return margin
 
@@ -381,7 +369,7 @@ def _fd_gradients(net, inputs, targets, h: float) -> GradientSet:
         for name, p in layer.param_arrays().items():
             if p is None:
                 continue
-            out = lg.arrays()[name]
+            out = lg[name]
             it = np.nditer(p, flags=["multi_index"])
             for _ in it:
                 idx = it.multi_index

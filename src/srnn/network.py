@@ -190,6 +190,7 @@ class Layer:
         return self.w_in.shape[0]
 
     def param_arrays(self) -> dict[str, Optional[np.ndarray]]:
+        """The trainable arrays by name, None where absent; gradients are keyed alike."""
         return {"w_in": self.w_in, "w_rec": self.w_rec, "bias": self.bias,
                 "tau_m": self.tau_m, "tau_adp": self.tau_adp}
 
@@ -227,7 +228,7 @@ def _init_layer(rng: np.random.Generator, spec: LayerSpec, fan_in: int,
         u_init = np.zeros(spec.size)
     else:
         resting_theta = spec.theta if spec.neuron == "lif" else spec.b_0
-        u_init = rng.uniform(0.0, resting_theta, size=spec.size)
+        u_init = rng.uniform(*sorted((0.0, resting_theta)), size=spec.size)
     return Layer(spec=spec, w_in=w_in, w_rec=w_rec, bias=bias,
                  tau_m=tau_m, tau_adp=tau_adp, u_init=u_init)
 
@@ -237,9 +238,9 @@ def init_network(spec: NetworkSpec, seed: Optional[int] = None):
 
     Input weights are Xavier-uniform, recurrent weights orthogonal, biases
     zero. Time constants are normal draws clamped into [dt, 1e4*dt].
-    Spiking membranes start uniform in [0, resting threshold] unless the
-    spec asks for zeros. A bidirectional net draws its forward hidden
-    stack, then its back stack, then the head.
+    Spiking membranes start uniform between 0 and the resting threshold,
+    whatever its sign, unless the spec asks for zeros. A bidirectional net
+    draws its forward hidden stack, then its back stack, then the head.
     """
     rng = np.random.default_rng(spec.seed if seed is None else seed)
 
@@ -272,7 +273,7 @@ class LayerState:
 
 @dataclass
 class LayerTrace:
-    neuron: str                      # layer kind the trace came from
+    cell: Cell                       # the cell the trace was run with
     pre: np.ndarray                  # (T, B, n) drive into the units
     u: np.ndarray                    # (T, B, n) membrane after the update
     y: np.ndarray                    # (T, B, n) emitted output
@@ -283,7 +284,7 @@ class LayerTrace:
 
     @property
     def spiking(self) -> bool:
-        return self.neuron in SPIKING_KINDS
+        return self.cell.kind in SPIKING_KINDS
 
 
 @dataclass
@@ -531,7 +532,7 @@ def _run_layers(layers: list[Layer], x_tbn: np.ndarray, soft: bool) -> list[Laye
         c = cell(layer)
         prev = _initial(layer, c, inp.shape[1])
         shape = inp.shape[:2] + (layer.size,)
-        tr = LayerTrace(neuron=c.kind, pre=np.empty(shape), u=np.empty(shape),
+        tr = LayerTrace(cell=c, pre=np.empty(shape), u=np.empty(shape),
                         y=np.empty(shape), eta=None if c.rho is None else np.empty(shape),
                         u_init=prev[0], y_init=prev[1], eta_init=prev[2])
         hoisted = soft or c.kind in SPIKING_KINDS

@@ -29,10 +29,11 @@ the recurrent weights. The gradient passed to the layer below is formed
 like the forward pass's input projection, one T-row GEMM per sample, and
 the network input's own gradient, which nothing consumes, is never formed.
 
-Gradients returned by `backward` are sums over the batch axis; `fit`
-divides by the minibatch size so the update uses the mean. Minibatches
-are processed in fixed-size chunks reduced in index order, which keeps
-training byte-reproducible for any worker-thread count.
+Gradients returned by `backward` are sums over the batch axis, one dict
+per layer keyed like `Layer.param_arrays()`; `fit` divides by the
+minibatch size so the update uses the mean. Minibatches are processed in
+fixed-size chunks reduced in index order, which keeps training
+byte-reproducible for any worker-thread count.
 """
 
 from __future__ import annotations
@@ -53,7 +54,6 @@ from srnn.network import (
     Network,
     NetworkSpec,
     _project,
-    cell,
     forward_sequence,
     init_network,
 )
@@ -130,37 +130,26 @@ def lr_at(schedule: Schedule, base_lr: float, epoch: int) -> float:
 
 
 @dataclass
-class LayerGrads:
-    w_in: np.ndarray
-    w_rec: Optional[np.ndarray]
-    bias: np.ndarray
-    tau_m: np.ndarray
-    tau_adp: Optional[np.ndarray]
-
-    def arrays(self):
-        return {"w_in": self.w_in, "w_rec": self.w_rec, "bias": self.bias,
-                "tau_m": self.tau_m, "tau_adp": self.tau_adp}
-
-
-@dataclass
 class GradientSet:
     """Per-layer gradients plus the loss/accuracy stats of the same pass.
 
+    `layers[i]` holds the gradients of `net.all_layers[i]` in a dict with
+    the keys and the None entries of that layer's `Layer.param_arrays()`.
     `loss` and `correct` are sums over the samples that produced the
     gradients; `total_preds` counts the label comparisons behind
     `correct` (samples for sequence labels, samples*steps for streaming).
     """
 
-    layers: list[LayerGrads]
+    layers: list[dict[str, Optional[np.ndarray]]]
     loss: float = 0.0
     correct: int = 0
     total_preds: int = 0
 
     def add_(self, other: "GradientSet") -> "GradientSet":
         for mine, theirs in zip(self.layers, other.layers):
-            for name, arr in mine.arrays().items():
+            for name, arr in mine.items():
                 if arr is not None:
-                    arr += theirs.arrays()[name]
+                    arr += theirs[name]
         self.loss += other.loss
         self.correct += other.correct
         self.total_preds += other.total_preds
@@ -168,23 +157,16 @@ class GradientSet:
 
     def scale_(self, c: float) -> "GradientSet":
         for lg in self.layers:
-            for arr in lg.arrays().values():
+            for arr in lg.values():
                 if arr is not None:
                     arr *= c
         return self
 
 
 def zero_grads(net: Network) -> GradientSet:
-    grads = []
-    for layer in net.all_layers:
-        grads.append(LayerGrads(
-            w_in=np.zeros_like(layer.w_in),
-            w_rec=np.zeros_like(layer.w_rec) if layer.w_rec is not None else None,
-            bias=np.zeros_like(layer.bias),
-            tau_m=np.zeros_like(layer.tau_m),
-            tau_adp=np.zeros_like(layer.tau_adp) if layer.tau_adp is not None else None,
-        ))
-    return GradientSet(layers=grads)
+    return GradientSet(layers=[
+        {k: None if a is None else np.zeros_like(a) for k, a in layer.param_arrays().items()}
+        for layer in net.all_layers])
 
 
 # Time steps per block of the reverse sweep. Trace-only factors and the
@@ -249,15 +231,16 @@ def _layer_backward(layer: Layer, tr: LayerTrace, below_y: np.ndarray,
                     surrogate: SurrogateKind, soft: bool,
                     train_tau_m: bool, train_tau_adp: bool,
                     need_g_below: bool = True):
-    """Reverse-time sweep over one layer. Returns (LayerGrads, g_below).
+    """Reverse-time sweep over one layer. Returns (grads, g_below).
 
-    g_below is None when need_g_below is false. During the sweep `dpre`
-    holds the membrane adjoint lam_u; it becomes the drive adjoint
+    grads is keyed like `layer.param_arrays()`, with the same None
+    entries; g_below is None when need_g_below is false. During the sweep
+    `dpre` holds the membrane adjoint lam_u; it becomes the drive adjoint
     d loss / d pre = lam_u * gain in one pass afterwards, so the
     recurrent path applies gain through `w_back` instead.
     """
     s = layer.spec
-    c = cell(layer)
+    c = tr.cell
     t_steps, batch, n = tr.u.shape
     last = t_steps - 1
     dpre = np.empty((t_steps, batch, n))
@@ -311,13 +294,8 @@ def _layer_backward(layer: Layer, tr: LayerTrace, below_y: np.ndarray,
     w_rec = None
     if layer.w_rec is not None:
         w_rec = tr.y_init.T @ dpre[0] + _sum_outer(tr.y[:-1], dpre[1:])
-    grads = LayerGrads(
-        w_in=_sum_outer(below_y, dpre),
-        w_rec=w_rec,
-        bias=dpre.sum(axis=(0, 1)),
-        tau_m=d_tau_m,
-        tau_adp=d_tau_adp,
-    )
+    grads = {"w_in": _sum_outer(below_y, dpre), "w_rec": w_rec,
+             "bias": dpre.sum(axis=(0, 1)), "tau_m": d_tau_m, "tau_adp": d_tau_adp}
     g_below = None
     if need_g_below:
         g_below = np.empty((t_steps, batch, layer.fan_in))
@@ -452,13 +430,7 @@ class AdamState:
 
     @classmethod
     def for_net(cls, net) -> "AdamState":
-        m, v = [], []
-        for layer in net.all_layers:
-            m.append({k: np.zeros_like(a) if a is not None else None
-                      for k, a in layer.param_arrays().items()})
-            v.append({k: np.zeros_like(a) if a is not None else None
-                      for k, a in layer.param_arrays().items()})
-        return cls(m=m, v=v)
+        return cls(m=zero_grads(net).layers, v=zero_grads(net).layers)
 
 
 def adam_step(net, grads: GradientSet, state: AdamState, lr: float):
@@ -469,7 +441,7 @@ def adam_step(net, grads: GradientSet, state: AdamState, lr: float):
     for layer, lg, m, v in zip(net.all_layers, grads.layers, state.m, state.v):
         params = layer.param_arrays()
         for name, p in params.items():
-            g = lg.arrays()[name]
+            g = lg[name]
             if p is None or g is None:
                 continue
             m[name] = state.beta1 * m[name] + (1.0 - state.beta1) * g

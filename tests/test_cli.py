@@ -109,6 +109,24 @@ def test_train_without_validation_split(tmp_path):
     assert all(",eval," not in r for r in rows[1:])
 
 
+def test_train_with_a_negative_resting_threshold(tmp_path):
+    cfg = pattern_config(tmp_path, out_name="neg")
+    doc = json.loads(Path(cfg).read_text())
+    doc["network"]["layers"][0]["b_0"] = -0.5
+    Path(cfg).write_text(json.dumps(doc))
+    assert main(["train", "--config", cfg]) == 0
+
+
+def test_out_of_memory_exits_2_with_one_line(tmp_path, monkeypatch, capsys):
+    def fit_out_of_memory(*args, **kwargs):
+        raise MemoryError("Unable to allocate 763. MiB")
+
+    monkeypatch.setattr(srnn.cli, "fit", fit_out_of_memory)
+    assert main(["train", "--config", pattern_config(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: out of memory: Unable to allocate 763. MiB\n"
+
+
 def test_train_usage_errors(tmp_path, capsys):
     assert main(["train", "--config", str(tmp_path / "nope.json")]) == 2
 

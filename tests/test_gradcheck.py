@@ -157,10 +157,10 @@ def test_tape_gradients_agree_with_backward_directly():
     analytic = backward(net, trace, labels, surrogate)
     assert abs(loss_tape - analytic.loss) < 1e-10
     for tl, al in zip(tape_set.layers, analytic.layers):
-        for name, ref in tl.arrays().items():
+        for name, ref in tl.items():
             if ref is None:
                 continue
-            np.testing.assert_allclose(al.arrays()[name], ref, atol=1e-10)
+            np.testing.assert_allclose(al[name], ref, atol=1e-10)
 
 
 def test_tape_handles_soft_mode_too():
@@ -174,10 +174,10 @@ def test_tape_handles_soft_mode_too():
     trace = forward_sequence(net, x, soft=True)
     analytic = backward(net, trace, labels, surrogate)
     for tl, al in zip(tape_set.layers, analytic.layers):
-        for name, ref in tl.arrays().items():
+        for name, ref in tl.items():
             if ref is None:
                 continue
-            np.testing.assert_allclose(al.arrays()[name], ref, atol=1e-10)
+            np.testing.assert_allclose(al[name], ref, atol=1e-10)
 
 
 @pytest.mark.parametrize("soft", [False, True])
@@ -208,11 +208,11 @@ def test_tape_agrees_across_blocks_of_the_reverse_sweep(soft):
     trace = forward_sequence(net, x, soft=soft)
     analytic = backward(net, trace, step_labels, surrogate)
     for tl, al in zip(tape_set.layers, analytic.layers):
-        for name, ref in tl.arrays().items():
+        for name, ref in tl.items():
             if ref is None:
                 continue
             assert np.abs(ref).max() > 0.0
-            np.testing.assert_allclose(al.arrays()[name], ref, rtol=1e-9, atol=1e-10)
+            np.testing.assert_allclose(al[name], ref, rtol=1e-9, atol=1e-10)
 
 
 def test_streaming_labels_are_checked_too():

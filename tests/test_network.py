@@ -102,6 +102,16 @@ def test_membrane_init_range():
         np.testing.assert_array_equal(layer.u_init, np.zeros(layer.size))
 
 
+@pytest.mark.parametrize("neuron, rest", [("alif", dict(b_0=-0.5)),
+                                          ("lif", dict(u_r=-0.6, theta=-0.2))])
+def test_membrane_init_below_a_negative_resting_threshold(neuron, rest):
+    spec = small_spec(layers=[LayerSpec(size=6, neuron=neuron, recurrent=True, **rest)])
+    u_init = init_network(spec, seed=4).layers[0].u_init
+    resting_theta = rest.get("b_0", rest.get("theta"))
+    assert np.all(u_init >= resting_theta) and np.all(u_init <= 0.0)
+    assert np.unique(u_init).size == u_init.size
+
+
 def test_zero_network_stays_silent():
     net = init_network(small_spec(zero_init_membrane=True), seed=5)
     for layer in net.layers:

@@ -7,6 +7,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from srnn.gradcheck import tape_gradients
 from srnn.network import (
     LayerSpec,
     NetworkSpec,
@@ -125,10 +126,10 @@ def test_batch_gradients_are_sums_over_samples():
     gab = backward(net, forward_sequence(net, both), np.array([1, 2]), surrogate)
     assert abs(gab.loss - (ga.loss + gb.loss)) < 1e-9
     for sep_a, sep_b, joint in zip(ga.layers, gb.layers, gab.layers):
-        for name, arr in joint.arrays().items():
+        for name, arr in joint.items():
             if arr is None:
                 continue
-            want = sep_a.arrays()[name] + sep_b.arrays()[name]
+            want = sep_a[name] + sep_b[name]
             np.testing.assert_allclose(arr, want, atol=1e-10)
 
 
@@ -178,13 +179,48 @@ def test_batch_backward_is_the_sum_of_single_sample_backwards(case, soft):
     assert abs(joint.loss - total.loss) <= 1e-12 * abs(total.loss)
     assert joint.correct == total.correct
     for i, (mine, want) in enumerate(zip(joint.layers, total.layers)):
-        for name, ref in want.arrays().items():
+        for name, ref in want.items():
             if ref is None:
                 continue
             scale = float(np.abs(ref).max())
             assert scale > 0.0, f"layer {i} {name}: no gradient reached it"
-            err = float(np.abs(mine.arrays()[name] - ref).max())
+            err = float(np.abs(mine[name] - ref).max())
             assert err <= 1e-12 * scale, f"layer {i} {name}: rel err {err / scale:.2e}"
+
+
+def _assert_keyed_like_params(net, layer_grads):
+    assert len(layer_grads) == len(net.all_layers)
+    for i, (layer, grads) in enumerate(zip(net.all_layers, layer_grads)):
+        params = layer.param_arrays()
+        assert list(grads) == list(params), f"layer {i}"
+        for name, p in params.items():
+            if p is None:
+                assert grads[name] is None, f"layer {i} {name}"
+            else:
+                assert grads[name].shape == p.shape, f"layer {i} {name}"
+
+
+@pytest.mark.parametrize("case", sorted(ADDITIVITY_CASES) + ["bidirectional"])
+def test_every_gradient_has_the_shape_of_its_parameters(case):
+    if case == "bidirectional":
+        layers, per_step, bidirectional = ([LayerSpec(size=6, recurrent=True, **ALIF),
+                                            LayerSpec(size=5, **RELU),
+                                            LayerSpec(size=3, **READOUT)], False, True)
+    else:
+        (layers, per_step), bidirectional = ADDITIVITY_CASES[case], False
+    decode = case if case == "spike_count" else "membrane_softmax"
+    net = init_network(NetworkSpec(input_size=4, layers=layers, decode=decode,
+                                   bidirectional=bidirectional, seed=0), seed=3)
+    rng = np.random.default_rng(4)
+    x = rng.normal(0.0, 1.5, size=(2, 5, 4))
+    labels = rng.integers(0, 3, size=(2, 5) if per_step else 2)
+    adam = AdamState.for_net(net)
+    sets = [backward(net, forward_sequence(net, x), labels, MultiGaussian()).layers,
+            zero_grads(net).layers, adam.m, adam.v]
+    if not bidirectional:
+        sets.append(tape_gradients(net, x, labels, MultiGaussian())[1].layers)
+    for layer_grads in sets:
+        _assert_keyed_like_params(net, layer_grads)
 
 
 def test_frozen_time_constants_get_zero_gradients():
@@ -195,10 +231,10 @@ def test_frozen_time_constants_get_zero_gradients():
                      train_tau_m=False, train_tau_adp=False)
     moved = 0.0
     for lg in grads.layers:
-        np.testing.assert_array_equal(lg.tau_m, np.zeros_like(lg.tau_m))
-        if lg.tau_adp is not None:
-            np.testing.assert_array_equal(lg.tau_adp, np.zeros_like(lg.tau_adp))
-        moved += float(np.abs(lg.w_in).sum())
+        np.testing.assert_array_equal(lg["tau_m"], np.zeros_like(lg["tau_m"]))
+        if lg["tau_adp"] is not None:
+            np.testing.assert_array_equal(lg["tau_adp"], np.zeros_like(lg["tau_adp"]))
+        moved += float(np.abs(lg["w_in"]).sum())
     assert moved > 0.0  # weight gradients still flow
 
 
@@ -206,23 +242,23 @@ def test_gradient_set_arithmetic():
     net = init_network(small_spec(), seed=5)
     a = zero_grads(net)
     b = zero_grads(net)
-    a.layers[0].w_in += 1.0
-    b.layers[0].w_in += 2.0
+    a.layers[0]["w_in"] += 1.0
+    b.layers[0]["w_in"] += 2.0
     b.loss = 3.0
     b.correct = 2
     b.total_preds = 4
     a.add_(b)
-    assert np.all(a.layers[0].w_in == 3.0)
+    assert np.all(a.layers[0]["w_in"] == 3.0)
     assert a.loss == 3.0 and a.correct == 2 and a.total_preds == 4
     a.scale_(0.5)
-    assert np.all(a.layers[0].w_in == 1.5)
+    assert np.all(a.layers[0]["w_in"] == 1.5)
 
 
 def test_adam_first_step_magnitude_is_lr():
     net = init_network(small_spec(), seed=6)
     state = AdamState.for_net(net)
     grads = zero_grads(net)
-    grads.layers[-1].bias[:] = [4.0, -0.3, 0.002]
+    grads.layers[-1]["bias"][:] = [4.0, -0.3, 0.002]
     before = net.layers[-1].bias.copy()
     adam_step(net, grads, state, lr=0.01)
     delta = net.layers[-1].bias - before
@@ -235,11 +271,11 @@ def test_adam_clamps_time_constants():
     net = init_network(small_spec(), seed=7)
     state = AdamState.for_net(net)
     grads = zero_grads(net)
-    grads.layers[0].tau_m[:] = 1.0  # consistent positive gradient
+    grads.layers[0]["tau_m"][:] = 1.0  # consistent positive gradient
     for _ in range(5000):
         adam_step(net, grads, state, lr=10.0)
     assert np.all(net.layers[0].tau_m >= 1.0)  # dt floor
-    grads.layers[0].tau_m[:] = -1.0
+    grads.layers[0]["tau_m"][:] = -1.0
     for _ in range(5000):
         adam_step(net, grads, state, lr=100.0)
     assert np.all(net.layers[0].tau_m <= 1e4)
@@ -309,7 +345,7 @@ def test_fit_stops_at_the_first_non_finite_parameter(monkeypatch):
 
     def poisoned(*args, **kwargs):
         grads = real_backward(*args, **kwargs)
-        grads.layers[0].tau_adp[0] = np.nan
+        grads.layers[0]["tau_adp"][0] = np.nan
         return grads
 
     monkeypatch.setattr(training, "backward", poisoned)
