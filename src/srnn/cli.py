@@ -205,7 +205,10 @@ def _require(cfg: Config, section: str, command: str):
 
 
 def _check_labels(spec: NetworkSpec, ds, what: str) -> None:
-    """Reject labels that the network's head and decoder cannot score."""
+    """Reject data whose width or labels the network cannot read or score."""
+    if ds.channels != spec.input_size:
+        raise UsageError(f"the network expects {spec.input_size} input channels "
+                         f"but {what} has {ds.channels}")
     n_out = spec.layers[-1].size
     if ds.n_classes > n_out:
         raise UsageError(f"{what} has {ds.n_classes} classes but the network's "
@@ -229,14 +232,11 @@ def cmd_train(args) -> int:
     train_ds, val_ds, test_ds = _build_task(_require(cfg, "task", "train"))
     if not train_ds.n_samples:
         raise UsageError("the task's train split holds no samples")
-    if train_ds.channels != net_spec.input_size:
-        raise UsageError(f"network expects {net_spec.input_size} input "
-                         f"channels but the task provides {train_ds.channels}")
+    _check_labels(net_spec, train_ds, "the task")
     try:
         check_loss(tc.loss, train_ds.labels)
     except ValueError as e:
         raise UsageError(f"{args.config}: training/loss: {e}") from None
-    _check_labels(net_spec, train_ds, "the task")
     out_dir = Path(_require(cfg, "outputs", "train").dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     eval_ds = val_ds if val_ds.n_samples else None
@@ -269,9 +269,6 @@ def _load_model_file(path):
 def _load_data_for(net, path):
     """Load a dataset directory and check it against the model's input and head."""
     data = _read_dataset(path)
-    if data.channels != net.spec.input_size:
-        raise UsageError(f"model expects {net.spec.input_size} input channels "
-                         f"but the dataset has {data.channels}")
     _check_labels(net.spec, data, "the dataset")
     return data
 

@@ -97,9 +97,9 @@ def _pattern_events(n_classes: int, t_steps: int, channels: int, seed: int,
     rng = np.random.default_rng([seed, 0])
     counts = np.minimum(1 + rng.poisson(events_mean, size=channels), t_steps)
     chans = np.repeat(np.arange(channels), counts)
-    times = np.array([np.concatenate([rng.choice(t_steps, size=k, replace=False)
-                                      for k in counts])
-                      for _ in range(n_classes)])
+    times = np.empty((n_classes, chans.size), dtype=int)  # a class count too large fails here
+    for row in times:
+        row[:] = np.concatenate([rng.choice(t_steps, size=k, replace=False) for k in counts])
     # sort within each channel's run: times are distinct within a channel
     return np.sort(times + t_steps * chans) - t_steps * chans, chans
 

@@ -348,7 +348,7 @@ def _soft_loss(net, trace, targets) -> float:
     return _score(net.spec.decode, trace.head, targets)[0]
 
 
-def _kink_margin(net, trace) -> float:
+def _kink_margin(trace) -> float:
     """Distance from every unit-step state to its nearest nonlinearity kink."""
     margin = math.inf
     for lt in trace.all_layers:
@@ -405,21 +405,18 @@ def grad_check(net, inputs, targets, mode: str = "relu_exact",
     if surrogate is None:
         surrogate = MultiGaussian()
 
-    if mode == "relu_exact":
-        trace = forward_sequence(net, inputs, soft=True)
-        analytic = backward(net, trace, targets, surrogate)
+    soft = mode == "relu_exact"
+    trace = forward_sequence(net, inputs, soft=soft)
+    analytic = backward(net, trace, targets, surrogate)
+    margin = _kink_margin(trace)
+    if soft:
         loss = _soft_loss(net, trace, targets)
         if not math.isfinite(loss):
             raise FloatingPointError("soft-mode loss is not finite")
         reference = _fd_gradients(net, inputs, targets, h)
-        margin = _kink_margin(net, trace)
         fd_noise = float(np.finfo(float).eps * abs(loss) / h)
     else:
-        trace = forward_sequence(net, inputs, soft=False)
-        analytic = backward(net, trace, targets, surrogate)
-        loss, tape_set = tape_gradients(net, inputs, targets, surrogate, soft=False)
-        reference = tape_set
-        margin = _kink_margin(net, trace)
+        loss, reference = tape_gradients(net, inputs, targets, surrogate)
         fd_noise = None
 
     max_abs, max_rel, checked, families = _compare(reference, analytic)

@@ -6,14 +6,14 @@ plus, if the layer is recurrent, its own output from step t-1 through a
 square recurrent matrix. Forward passes record a per-layer trace (drive,
 membrane, output, and the adaptation variable) which the trainer consumes.
 
-A bidirectional network (spec.bidirectional) keeps its forward hidden
-stack and readout head in `layers` and a second hidden stack of the same
-shape in `back`. The back stack runs on the time-reversed input; the head
-integrates merged_t = (y_t of the last forward layer + y_t of the last
-back layer, re-aligned to input time) / 2. Both stacks need the whole
-sequence, so the online API rejects such a network. `layers + back` is
-the canonical order of trainable layers, which gradients, optimizer state
-and cost accounting follow.
+Every network is a hidden stack, possibly empty, and a head, the last of
+`layers`, which reads `merged`: the last hidden output, or the input. A
+bidirectional network (spec.bidirectional) keeps a second hidden stack
+of the same shape in `back`, run on the time-reversed input, and merged_t
+= (y_t of the last forward layer + y_t of the last back layer, re-aligned
+to input time) / 2. Both stacks need the whole sequence, so the online
+API rejects such a network. `layers + back` is the canonical order of
+trainable layers; gradients, optimizer state and cost accounting follow it.
 
 All four neuron kinds run one leaky membrane recursion,
 
@@ -239,8 +239,8 @@ def init_network(spec: NetworkSpec, seed: Optional[int] = None):
     Input weights are Xavier-uniform, recurrent weights orthogonal, biases
     zero. Time constants are normal draws clamped into [dt, 1e4*dt].
     Spiking membranes start uniform between 0 and the resting threshold,
-    whatever its sign, unless the spec asks for zeros. A bidirectional net
-    draws its forward hidden stack, then its back stack, then the head.
+    whatever its sign, unless the spec asks for zeros. Draws run over the
+    hidden stack, the back stack if bidirectional, then the head.
     """
     rng = np.random.default_rng(spec.seed if seed is None else seed)
 
@@ -251,11 +251,10 @@ def init_network(spec: NetworkSpec, seed: Optional[int] = None):
             fan_in = lspec.size
         return layers
 
-    if not spec.bidirectional:
-        return Network(spec=spec, layers=stack(spec.layers, spec.input_size))
     hidden = spec.layers[:-1]
-    fwd, back = stack(hidden, spec.input_size), stack(hidden, spec.input_size)
-    head = stack(spec.layers[-1:], hidden[-1].size)
+    fwd = stack(hidden, spec.input_size)
+    back = stack(hidden, spec.input_size) if spec.bidirectional else []
+    head = stack(spec.layers[-1:], fwd[-1].size if fwd else spec.input_size)
     return Network(spec=spec, layers=fwd + head, back=back)
 
 
@@ -291,9 +290,9 @@ class LayerTrace:
 class ForwardTrace:
     inputs: np.ndarray               # (T, B, N)
     layers: list[LayerTrace]         # one per layer of Network.layers
+    merged: np.ndarray               # (T, B, n) every head's input (see forward_sequence)
     soft: bool = False
     back: list[LayerTrace] = field(default_factory=list)  # in reversed input time
-    merged: Optional[np.ndarray] = None   # (T, B, n) head input, if bidirectional
 
     @property
     def t_steps(self) -> int:
@@ -556,19 +555,17 @@ def forward_sequence(net: Network, x, soft: bool = False) -> ForwardTrace:
     """Run a full sequence (or batch of sequences) and record the trace.
 
     Accepts (T, N) for one sequence or (B, T, N) for a batch; the trace is
-    always time-major with an explicit batch axis. A bidirectional net
-    also records its back stack and the merged head input.
+    always time-major with an explicit batch axis. `merged` is the head's
+    input: the last hidden y (not a copy), the input, or both tops' mean.
     """
     x_tbn = _checked_input(x, net.spec.input_size)
-    if not net.back:
-        return ForwardTrace(inputs=x_tbn, layers=_run_layers(net.layers, x_tbn, soft),
-                            soft=soft)
     fwd = _run_layers(net.layers[:-1], x_tbn, soft)
     back = _run_layers(net.back, x_tbn[::-1], soft)
-    merged = 0.5 * (fwd[-1].y + back[-1].y[::-1])
+    merged = fwd[-1].y if fwd else x_tbn
+    if back:
+        merged = 0.5 * (merged + back[-1].y[::-1])
     head = _run_layers(net.layers[-1:], merged, soft)
-    return ForwardTrace(inputs=x_tbn, layers=fwd + head, soft=soft, back=back,
-                        merged=merged)
+    return ForwardTrace(inputs=x_tbn, layers=fwd + head, merged=merged, soft=soft, back=back)
 
 
 def _layer_to_dict(layer: Layer) -> dict:

@@ -1,17 +1,18 @@
 """Losses, the reverse-time gradient sweep, Adam, and the training loop.
 
-The backward pass walks each layer's recorded trace from the last step to
-the first, carrying adjoints for the membrane and (on adaptive layers) the
-adaptation variable. One sweep serves every neuron kind: the kind enters
-only through its partials (see `_block_partials`) and, on adaptive
-layers, the eta chain, whose threshold `Cell.threshold` forms from
-the recorded eta. At every spike the configured surrogate stands in for
-the derivative of the threshold test, so the membrane and adaptation
-chains stay differentiable while the spikes themselves remain binary. The
-two explicitly non-differentiable pathways, the post-spike reset factor
-and the threshold decrement, are held constant during the sweep. Time
-constants receive gradients through their decay coefficients, which the
-gain r_m*(1 - decay) follows:
+The backward pass sweeps the head, whose input is `ForwardTrace.merged`
+in every net, then each hidden stack from the top down. A sweep walks a
+layer's recorded trace from the last step to the first, carrying adjoints
+for the membrane and (on adaptive layers) the adaptation variable. One
+sweep serves every neuron kind: the kind enters only through its partials
+(see `_block_partials`) and, on adaptive layers, the eta chain, whose
+threshold `Cell.threshold` forms from the recorded eta. At every spike
+the configured surrogate stands in for the derivative of the threshold
+test, so the membrane and adaptation chains stay differentiable while the
+spikes themselves remain binary. The two explicitly non-differentiable
+pathways, the post-spike reset factor and the threshold decrement, are
+held constant during the sweep. Time constants receive gradients through
+their decay coefficients, which the gain r_m*(1 - decay) follows:
 
     d u_t / d tau_m    = (held_t - r_m * pre_t) * d decay / d tau_m
     d rho  / d tau_adp = rho * dt / tau_adp^2
@@ -228,9 +229,7 @@ def _block_partials(c: Cell, tr: LayerTrace, t0: int, t1: int,
 
 def _layer_backward(layer: Layer, tr: LayerTrace, below_y: np.ndarray,
                     g_ext: Optional[np.ndarray], g_direct: Optional[np.ndarray],
-                    surrogate: SurrogateKind, soft: bool,
-                    train_tau_m: bool, train_tau_adp: bool,
-                    need_g_below: bool = True):
+                    surrogate: SurrogateKind, soft: bool, need_g_below: bool = True):
     """Reverse-time sweep over one layer. Returns (grads, g_below).
 
     grads is keyed like `layer.param_arrays()`, with the same None
@@ -285,17 +284,13 @@ def _layer_backward(layer: Layer, tr: LayerTrace, below_y: np.ndarray,
             adapt = _prev(tr.eta, tr.eta_init, t0, t1) - y_prev
             acc_tau_adp += np.einsum("tbn,tbn->n", lam_eta[:t1 - t0], adapt)
 
-    d_tau_m = acc_tau_m * c.decay_tau if train_tau_m else np.zeros(n)
-    d_tau_adp = None
-    if adaptive:
-        d_tau_adp = acc_tau_adp * c.rho_tau if train_tau_adp else np.zeros(n)
-
     dpre *= c.gain
     w_rec = None
     if layer.w_rec is not None:
         w_rec = tr.y_init.T @ dpre[0] + _sum_outer(tr.y[:-1], dpre[1:])
     grads = {"w_in": _sum_outer(below_y, dpre), "w_rec": w_rec,
-             "bias": dpre.sum(axis=(0, 1)), "tau_m": d_tau_m, "tau_adp": d_tau_adp}
+             "bias": dpre.sum(axis=(0, 1)), "tau_m": acc_tau_m * c.decay_tau,
+             "tau_adp": acc_tau_adp * c.rho_tau if adaptive else None}
     g_below = None
     if need_g_below:
         g_below = np.empty((t_steps, batch, layer.fan_in))
@@ -365,18 +360,13 @@ def _loss_and_seeds(decode: str, last: LayerTrace, targets):
     return loss, None, seed, correct, total
 
 
-def _stack_backward(layers, traces, bottom_y, g_ext_top, g_direct_top,
-                    surrogate, soft, train_tau_m, train_tau_adp):
-    """Gradients of a layer stack; the input's own gradient is never formed."""
+def _stack_backward(layers, traces, bottom_y, g_top, surrogate, soft):
+    """Gradients of a hidden stack whose top receives g_top; bottom_y gets none."""
     grads: list = [None] * len(layers)
-    g_ext = g_ext_top
-    g_direct = g_direct_top
     for i in range(len(layers) - 1, -1, -1):
         below = traces[i - 1].y if i > 0 else bottom_y
-        grads[i], g_ext = _layer_backward(
-            layers[i], traces[i], below, g_ext, g_direct, surrogate, soft,
-            train_tau_m, train_tau_adp, need_g_below=i > 0)
-        g_direct = None
+        grads[i], g_top = _layer_backward(layers[i], traces[i], below, g_top, None,
+                                          surrogate, soft, need_g_below=i > 0)
     return grads
 
 
@@ -384,28 +374,31 @@ def backward(net: Network, trace: ForwardTrace, targets, surrogate: SurrogateKin
              train_tau_m: bool = True, train_tau_adp: bool = True) -> GradientSet:
     """BPTT over a recorded trace. Gradients are sums over the batch.
 
-    The gradients follow `net.all_layers`. In a bidirectional net the head
-    reads the merged stack outputs, so each stack's top takes half of the
-    head's input gradient, the back stack's in reversed time.
+    The gradients follow `net.all_layers`. The head's sweep hands the
+    gradient of its input, `trace.merged`, to the top of each hidden
+    stack; in a bidirectional net each top takes half of it, the back
+    stack's in reversed time. Frozen time constants get zero gradients.
     """
     if len(net.back) != len(trace.back):
         raise TypeError("network and trace kinds do not match")
     loss, g_ext, g_dir, correct, total = _loss_and_seeds(net.spec.decode, trace.head,
                                                          targets)
-    if not net.back:
-        grads = _stack_backward(net.layers, trace.layers, trace.inputs, g_ext, g_dir,
-                                surrogate, trace.soft, train_tau_m, train_tau_adp)
-    else:
-        head_grads, g_merged = _layer_backward(
-            net.layers[-1], trace.head, trace.merged, g_ext, g_dir, surrogate,
-            trace.soft, train_tau_m, train_tau_adp)
-        fwd_grads = _stack_backward(
-            net.layers[:-1], trace.layers[:-1], trace.inputs, 0.5 * g_merged, None,
-            surrogate, trace.soft, train_tau_m, train_tau_adp)
-        back_grads = _stack_backward(
-            net.back, trace.back, trace.inputs[::-1], 0.5 * g_merged[::-1], None,
-            surrogate, trace.soft, train_tau_m, train_tau_adp)
-        grads = fwd_grads + [head_grads] + back_grads
+    head, g_merged = _layer_backward(net.layers[-1], trace.head, trace.merged, g_ext,
+                                     g_dir, surrogate, trace.soft,
+                                     need_g_below=len(net.layers) > 1)
+    g_back = None
+    if net.back:
+        g_merged *= 0.5
+        g_back = g_merged[::-1]
+    grads = (_stack_backward(net.layers[:-1], trace.layers[:-1], trace.inputs, g_merged,
+                             surrogate, trace.soft)
+             + [head]
+             + _stack_backward(net.back, trace.back, trace.inputs[::-1], g_back,
+                               surrogate, trace.soft))
+    for name, on in (("tau_m", train_tau_m), ("tau_adp", train_tau_adp)):
+        for lg in grads:
+            if not on and lg[name] is not None:
+                lg[name].fill(0.0)
     return GradientSet(layers=grads, loss=loss, correct=correct, total_preds=total)
 
 

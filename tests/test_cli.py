@@ -534,6 +534,8 @@ CONFIG_MUTATIONS = {
     "network-negative-beta": ("network/layers/0/beta", -0.1, "beta must be non-negative"),
     "pattern-task-nll-streaming": ("training/loss", "nll_streaming", "training/loss"),
     "task-more-classes-than-head": ("task/n_classes", 3, "head is 2 wide"),
+    "task-unallocatable-classes": ("task/n_classes", 10**20,
+                                   "bad task section: Maximum allowed dimension exceeded"),
 }
 
 # Manifest mutations of a saved test split: (new manifest, text the error must hold).

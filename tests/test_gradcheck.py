@@ -72,7 +72,7 @@ def sample_case(spec, seed, t_steps=20, margin=1e-3, batch=1, h=1e-5):
         x = 2.0 * rng.standard_normal((batch, t_steps, spec.input_size))
         labels = rng.integers(0, spec.layers[-1].size, size=batch)
         # the margin is checked first to spare finite differences on rejects
-        if _kink_margin(net, forward_sequence(net, x, soft=True)) > margin:
+        if _kink_margin(forward_sequence(net, x, soft=True)) > margin:
             return net, x, labels, grad_check(net, x, labels, mode="relu_exact", h=h)
     raise AssertionError("could not find a kink-free sample")
 
@@ -213,6 +213,30 @@ def test_tape_agrees_across_blocks_of_the_reverse_sweep(soft):
                 continue
             assert np.abs(ref).max() > 0.0
             np.testing.assert_allclose(al[name], ref, rtol=1e-9, atol=1e-10)
+
+
+@pytest.mark.parametrize("neuron, decode", [("readout", "membrane_softmax"),
+                                             ("alif", "spike_count")])
+def test_tape_matches_backward_on_a_head_only_net(neuron, decode):
+    # with no hidden layer the head reads the network input directly
+    head = LayerSpec(size=3, neuron=neuron, recurrent=True, tau_m_init=(3.0, 0.5),
+                     tau_adp_init=(12.0, 2.0) if neuron == "alif" else None,
+                     b_0=0.2, beta=0.3)
+    net = init_network(NetworkSpec(input_size=4, layers=[head], decode=decode), 2)
+    rng = np.random.default_rng(11)
+    x = 2.0 * rng.standard_normal((2, 15, 4))
+    labels = rng.integers(0, 3, size=2)
+    surrogate = MultiGaussian()
+    loss_tape, tape_set = tape_gradients(net, x, labels, surrogate)
+    analytic = backward(net, forward_sequence(net, x), labels, surrogate)
+    assert abs(loss_tape - analytic.loss) < 1e-8
+    (tl,), (al,) = tape_set.layers, analytic.layers
+    for name, ref in tl.items():
+        if ref is None:
+            assert al[name] is None
+            continue
+        assert np.abs(ref).max() > 0.0, name
+        assert np.abs(al[name] - ref).max() < 1e-8, name
 
 
 def test_streaming_labels_are_checked_too():

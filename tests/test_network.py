@@ -537,6 +537,17 @@ def bidi_spec(**kw):
     return NetworkSpec(**args)
 
 
+def test_the_head_reads_merged_without_a_copy():
+    x = np.random.default_rng(6).normal(size=(2, 7, 3))
+    trace = forward_sequence(init_network(small_spec(), seed=4), x)
+    assert trace.merged is trace.layers[-2].y
+    head_only = init_network(NetworkSpec(
+        input_size=3, layers=[LayerSpec(size=2, neuron="readout")],
+        decode="membrane_softmax"))
+    trace = forward_sequence(head_only, x)
+    assert trace.merged is trace.inputs
+
+
 def test_bidirectional_palindrome_symmetry():
     bn = init_network(bidi_spec(zero_init_membrane=True), seed=13)
     rng = np.random.default_rng(7)
