@@ -204,15 +204,31 @@ def _require(cfg: Config, section: str, command: str):
     return value
 
 
+def _check_shape(spec: NetworkSpec, channels: int, n_classes: int, what: str) -> None:
+    if channels != spec.input_size:
+        raise UsageError(f"the network expects {spec.input_size} input channels "
+                         f"but {what} has {channels}")
+    n_out = spec.layers[-1].size
+    if n_classes > n_out:
+        raise UsageError(f"{what} has {n_classes} classes but the network's "
+                         f"head is {n_out} wide")
+
+
+def _check_task(spec: NetworkSpec, task) -> None:
+    """Reject a generated task the network cannot read or score, before drawing it.
+
+    A files task is checked once it is read, by `_check_labels`.
+    """
+    if isinstance(task, PatternTask):
+        _check_shape(spec, task.channels, task.n_classes, "the task")
+    elif isinstance(task, StreamingTask):
+        # one analog channel, or its up and down spikes once encoded
+        _check_shape(spec, 1 if task.encode is None else 2, task.k, "the task")
+
+
 def _check_labels(spec: NetworkSpec, ds, what: str) -> None:
     """Reject data whose width or labels the network cannot read or score."""
-    if ds.channels != spec.input_size:
-        raise UsageError(f"the network expects {spec.input_size} input channels "
-                         f"but {what} has {ds.channels}")
-    n_out = spec.layers[-1].size
-    if ds.n_classes > n_out:
-        raise UsageError(f"{what} has {ds.n_classes} classes but the network's "
-                         f"head is {n_out} wide")
+    _check_shape(spec, ds.channels, ds.n_classes, what)
     if spec.decode == "spike_count" and ds.kind == "streaming":
         raise UsageError(f"{what} has per-step labels, which spike_count "
                          f"decoding cannot score")
@@ -229,7 +245,9 @@ def cmd_train(args) -> int:
     cfg = _read_file(Config, args.config, "config file")
     net_spec = _with_seed(cfg.network, args.seed)
     tc = _with_seed(_require(cfg, "training", "train"), args.seed)
-    train_ds, val_ds, test_ds = _build_task(_require(cfg, "task", "train"))
+    task = _require(cfg, "task", "train")
+    _check_task(net_spec, task)
+    train_ds, val_ds, test_ds = _build_task(task)
     if not train_ds.n_samples:
         raise UsageError("the task's train split holds no samples")
     _check_labels(net_spec, train_ds, "the task")

@@ -3,8 +3,8 @@
 A network is a stack of layers; at step t layer l receives the step-t
 output of layer l-1 (the input vector for layer 1, injected as current)
 plus, if the layer is recurrent, its own output from step t-1 through a
-square recurrent matrix. Forward passes record a per-layer trace (drive,
-membrane, output, and the adaptation variable) which the trainer consumes.
+square recurrent matrix. Forward passes record a per-layer trace (membrane,
+output, and the adaptation variable) which the trainer consumes.
 
 Every network is a hidden stack, possibly empty, and a head, the last of
 `layers`, which reads `merged`: the last hidden output, or the input. A
@@ -34,13 +34,15 @@ passes, the online step and the reverse sweep in srnn.training all read
 them from there.
 
 A sequence runs layer-major: each layer runs over all T steps before
-the next starts, writing u, y and eta straight into its trace. Where the
-drive pre_t = x_t @ w_in + bias [+ y_{t-1} @ w_rec] comes from depends
-on the kind:
+the next starts, writing u, y and eta straight into its trace. The drive
+pre_t = x_t @ w_in + bias [+ y_{t-1} @ w_rec] is formed in the trace's
+u_t, which the step then turns into the membrane; the trace keeps no
+drive of its own (the reverse sweep recovers what it needs of it from u,
+see srnn.training). Where the drive comes from depends on the kind:
 
     lif, alif      x @ w_in for all steps at once (one T-row GEMM per
-                   sample), written into the trace; only the recurrent
-                   term is added inside the time loop
+                   sample), written into u; only the recurrent term is
+                   added inside the time loop
     relu, readout  x_t @ w_in + bias step by step, as forward_step does
 
 The reason is the online contract: forward_step at batch 1 must give
@@ -101,6 +103,10 @@ DECODE_MODES = get_args(DecodeMode)
 # A spiking layer's weight matrix with at least this many entries takes the
 # event product in online streams (see the module docstring).
 EVENT_MIN_ENTRIES = 1 << 15
+# Time constants stay within [dt, TAU_MAX_DT * dt]: draws are clipped into
+# it, Adam steps clamp into it and model files outside it are rejected. The
+# reverse sweep divides by 1 - decay, which this keeps from vanishing.
+TAU_MAX_DT = 1e4
 
 
 @dataclass
@@ -219,7 +225,7 @@ def _init_layer(rng: np.random.Generator, spec: LayerSpec, fan_in: int,
     w_in = rng.uniform(-limit, limit, size=(fan_in, spec.size))
     w_rec = _orthogonal(rng, spec.size) if spec.recurrent else None
     bias = np.zeros(spec.size)
-    lo, hi = spec.dt, 1e4 * spec.dt
+    lo, hi = spec.dt, TAU_MAX_DT * spec.dt
     tau_m = np.clip(rng.normal(*spec.tau_m_init, size=spec.size), lo, hi)
     tau_adp = None
     if spec.neuron == "alif":
@@ -273,8 +279,8 @@ class LayerState:
 @dataclass
 class LayerTrace:
     cell: Cell                       # the cell the trace was run with
-    pre: np.ndarray                  # (T, B, n) drive into the units
-    u: np.ndarray                    # (T, B, n) membrane after the update
+    u: np.ndarray                    # (T, B, n) membrane after the update; holds
+                                     # the drive pre_t until step t runs
     y: np.ndarray                    # (T, B, n) emitted output
     eta: Optional[np.ndarray]        # (T, B, n) adaptation; theta = b_0 + beta*eta
     u_init: np.ndarray               # (B, n)
@@ -407,16 +413,19 @@ def _step_layer(c: Cell, pre: np.ndarray, prev: tuple, soft: bool,
     """Advance one layer one step. Returns the new (u, y, eta, theta).
 
     `pre` holds the step's whole drive, the recurrent term y_{t-1} @ w_rec
-    included. `prev` is the (u, y, eta, theta) the step starts from; eta
-    and theta are None on layers without adaptation. The new u, y and eta
-    are written into the arrays of `out` (rows of a trace), or into fresh
-    arrays where `out` holds None; theta is always fresh, as the next step
-    reads it for its threshold kick.
+    included; it may be out's u itself, which the step overwrites. `prev`
+    is the (u, y, eta, theta) the step starts from; eta and theta are None
+    on layers without adaptation. The new u, y and eta are written into the
+    arrays of `out` (rows of a trace), or into fresh arrays where `out`
+    holds None; theta is always fresh, as the next step reads it for its
+    threshold kick. The gain term comes first so that a drive held in u
+    can be scaled in place; addition commutes, so u is bit for bit
+    decay * held + gain * pre.
     """
     u0, y0, eta0, theta0 = prev
     u, y, eta = out
-    u = np.multiply(c.decay, c.held(u0, y0), out=u)
-    u += c.gain * pre
+    u = np.multiply(c.gain, pre, out=u)
+    u += c.decay * c.held(u0, y0)
     if c.rho is not None:
         u -= theta0 * y0
         eta = np.multiply(c.rho, eta0, out=eta)
@@ -522,29 +531,31 @@ def _project(inp: np.ndarray, w: np.ndarray, out: np.ndarray) -> None:
 def _run_layers(layers: list[Layer], x_tbn: np.ndarray, soft: bool) -> list[LayerTrace]:
     """Run the stack layer by layer over the whole sequence; one trace each.
 
-    Spiking layers (every layer in soft mode) take their feed-forward drive
-    for all steps from `_project`; the others form it step by step, as
-    `forward_step` does (see the module docstring).
+    Each step's drive is formed in the trace's u_t, which `_step_layer`
+    then turns into the membrane in place. Spiking layers (every layer in
+    soft mode) take their feed-forward drive for all steps from
+    `_project`; the others form it step by step, as `forward_step` does
+    (see the module docstring).
     """
     traces, inp = [], x_tbn
     for layer in layers:
         c = cell(layer)
         prev = _initial(layer, c, inp.shape[1])
         shape = inp.shape[:2] + (layer.size,)
-        tr = LayerTrace(cell=c, pre=np.empty(shape), u=np.empty(shape),
-                        y=np.empty(shape), eta=None if c.rho is None else np.empty(shape),
+        tr = LayerTrace(cell=c, u=np.empty(shape), y=np.empty(shape),
+                        eta=None if c.rho is None else np.empty(shape),
                         u_init=prev[0], y_init=prev[1], eta_init=prev[2])
         hoisted = soft or c.kind in SPIKING_KINDS
         if hoisted:
-            _project(inp, layer.w_in, tr.pre)
-            tr.pre += layer.bias
-        for t, pre in enumerate(tr.pre):
+            _project(inp, layer.w_in, tr.u)
+            tr.u += layer.bias
+        for t, pre in enumerate(tr.u):
             if not hoisted:
                 np.matmul(inp[t], layer.w_in, out=pre)
                 pre += layer.bias
             if layer.w_rec is not None:
                 pre += prev[1] @ layer.w_rec
-            out = (tr.u[t], tr.y[t], None if tr.eta is None else tr.eta[t])
+            out = (pre, tr.y[t], None if tr.eta is None else tr.eta[t])
             prev = _step_layer(c, pre, prev, soft, out)
         traces.append(tr)
         inp = tr.y
@@ -622,6 +633,8 @@ def _check_stack(layers: list[Layer], specs: list[LayerSpec], fan_in: int,
                 raise ValueError(f"{where}.{field}: not finite")
             if field.startswith("tau") and (a < spec.dt).any():
                 raise ValueError(f"{where}.{field}: below dt = {spec.dt}")
+            if field.startswith("tau") and (a > TAU_MAX_DT * spec.dt).any():
+                raise ValueError(f"{where}.{field}: above {TAU_MAX_DT:g} * dt")
         fan_in = n
 
 
@@ -631,8 +644,8 @@ def load_model(path) -> Network:
     A file that is not a well-formed model raises ValueError: a missing
     entry is named by its key, a spec is read by srnn.jsondoc with every
     field required and is named by its path, and an array that contradicts
-    the spec (its shape, presence, finiteness, or a time constant below dt)
-    by its layer and field.
+    the spec (its shape, presence, finiteness, or a time constant outside
+    [dt, TAU_MAX_DT * dt]) by its layer and field.
     """
     with open(path) as f:
         doc = json.load(f)

@@ -15,7 +15,13 @@ held constant during the sweep. Time constants receive gradients through
 their decay coefficients, which the gain r_m*(1 - decay) follows:
 
     d u_t / d tau_m    = (held_t - r_m * pre_t) * d decay / d tau_m
+                       = (held_t - u_t - theta_{t-1} * y_{t-1}) / (1 - decay)
+                         * d decay / d tau_m
     d rho  / d tau_adp = rho * dt / tau_adp^2
+
+The trace holds no drive pre_t, so the sweep takes the second form, which
+follows from u_t = decay * held_t + gain * pre_t - theta_{t-1} * y_{t-1}
+(the threshold kick on adaptive layers only) for every kind and mode.
 
 In the soft evaluation mode (see srnn.network) nothing is detached and
 the spike derivative is exact, which is what the finite-difference
@@ -42,6 +48,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
 from typing import ClassVar, Literal, Optional, Union, get_args
 
 import numpy as np
@@ -54,6 +61,7 @@ from srnn.network import (
     LayerTrace,
     Network,
     NetworkSpec,
+    TAU_MAX_DT,
     _project,
     forward_sequence,
     init_network,
@@ -236,7 +244,9 @@ def _layer_backward(layer: Layer, tr: LayerTrace, below_y: np.ndarray,
     entries; g_below is None when need_g_below is false. During the sweep
     `dpre` holds the membrane adjoint lam_u; it becomes the drive adjoint
     d loss / d pre = lam_u * gain in one pass afterwards, so the
-    recurrent path applies gain through `w_back` instead.
+    recurrent path applies gain through `w_back` instead. The tau_m sum
+    reads lam_u against held - u - kick and is divided by (1 - decay) once
+    at the end (see the module docstring).
     """
     s = layer.spec
     c = tr.cell
@@ -278,18 +288,20 @@ def _layer_backward(layer: Layer, tr: LayerTrace, below_y: np.ndarray,
                 lam_eta_next = lam_eta[k]
             lam_u_next = lam_u
         y_prev = _prev(tr.y, tr.y_init, t0, t1)
-        held = c.held(_prev(tr.u, tr.u_init, t0, t1), y_prev)
-        acc_tau_m += np.einsum("tbn,tbn->n", dpre[t0:t1], held - s.r_m * tr.pre[t0:t1])
+        drift = c.held(_prev(tr.u, tr.u_init, t0, t1), y_prev) - tr.u[t0:t1]
         if adaptive:
-            adapt = _prev(tr.eta, tr.eta_init, t0, t1) - y_prev
-            acc_tau_adp += np.einsum("tbn,tbn->n", lam_eta[:t1 - t0], adapt)
+            eta_prev = _prev(tr.eta, tr.eta_init, t0, t1)
+            drift -= c.threshold(eta_prev) * y_prev
+            acc_tau_adp += np.einsum("tbn,tbn->n", lam_eta[:t1 - t0], eta_prev - y_prev)
+        acc_tau_m += np.einsum("tbn,tbn->n", dpre[t0:t1], drift)
 
     dpre *= c.gain
     w_rec = None
     if layer.w_rec is not None:
         w_rec = tr.y_init.T @ dpre[0] + _sum_outer(tr.y[:-1], dpre[1:])
     grads = {"w_in": _sum_outer(below_y, dpre), "w_rec": w_rec,
-             "bias": dpre.sum(axis=(0, 1)), "tau_m": acc_tau_m * c.decay_tau,
+             "bias": dpre.sum(axis=(0, 1)),
+             "tau_m": acc_tau_m * (c.decay_tau / (1.0 - c.decay)),
              "tau_adp": acc_tau_adp * c.rho_tau if adaptive else None}
     g_below = None
     if need_g_below:
@@ -386,14 +398,17 @@ def backward(net: Network, trace: ForwardTrace, targets, surrogate: SurrogateKin
     head, g_merged = _layer_backward(net.layers[-1], trace.head, trace.merged, g_ext,
                                      g_dir, surrogate, trace.soft,
                                      need_g_below=len(net.layers) > 1)
-    g_back = None
     if net.back:
         g_merged *= 0.5
-        g_back = g_merged[::-1]
-    grads = (_stack_backward(net.layers[:-1], trace.layers[:-1], trace.inputs, g_merged,
-                             surrogate, trace.soft)
+    # The gradients of the forward and back stacks' tops. Once popped, a
+    # stack's sweep holds the only reference, so it frees the (T, B, n)
+    # array after its top layer rather than at the end of the stack.
+    tops = [g_merged, g_merged[::-1] if net.back else None]
+    del g_merged
+    grads = (_stack_backward(net.layers[:-1], trace.layers[:-1], trace.inputs,
+                             tops.pop(0), surrogate, trace.soft)
              + [head]
-             + _stack_backward(net.back, trace.back, trace.inputs[::-1], g_back,
+             + _stack_backward(net.back, trace.back, trace.inputs[::-1], tops.pop(0),
                                surrogate, trace.soft))
     for name, on in (("tau_m", train_tau_m), ("tau_adp", train_tau_adp)):
         for lg in grads:
@@ -442,7 +457,7 @@ def adam_step(net, grads: GradientSet, state: AdamState, lr: float):
             m_hat = m[name] / bc1
             v_hat = v[name] / bc2
             p -= lr * m_hat / (np.sqrt(v_hat) + state.eps)
-        lo, hi = layer.spec.dt, 1e4 * layer.spec.dt
+        lo, hi = layer.spec.dt, TAU_MAX_DT * layer.spec.dt
         np.clip(layer.tau_m, lo, hi, out=layer.tau_m)
         if layer.tau_adp is not None:
             np.clip(layer.tau_adp, lo, hi, out=layer.tau_adp)
@@ -502,9 +517,14 @@ class MetricsLog:
             f.write(self.to_csv_text())
 
 
-def _chunk_job(net, inputs, targets, config):
-    trace = forward_sequence(net, inputs)
-    grads = backward(net, trace, targets, config.surrogate,
+def _chunk_job(net, inputs, labels, config, chunk):
+    """Gradients and spike counts of the samples `chunk` indexes.
+
+    The job takes its own copy of the chunk's inputs, so no more chunk
+    copies are alive at once than jobs run.
+    """
+    trace = forward_sequence(net, inputs[chunk])
+    grads = backward(net, trace, labels[chunk], config.surrogate,
                      train_tau_m=config.train_tau_m,
                      train_tau_adp=config.train_tau_adp)
     return grads, SpikeCounts.of(trace)
@@ -513,11 +533,8 @@ def _chunk_job(net, inputs, targets, config):
 def _batch_gradients(net, inputs, labels, idx, config, pool):
     """Summed gradients and spike counts over the samples in idx, in fixed order."""
     chunks = [idx[i:i + config.chunk_size] for i in range(0, len(idx), config.chunk_size)]
-    jobs = [(net, inputs[c], labels[c], config) for c in chunks]
-    if pool is None:
-        results = [_chunk_job(*j) for j in jobs]
-    else:
-        results = list(pool.map(lambda j: _chunk_job(*j), jobs))
+    job = partial(_chunk_job, net, inputs, labels, config)
+    results = list(map(job, chunks) if pool is None else pool.map(job, chunks))
     total = zero_grads(net)
     spikes = SpikeCounts.zeros(net)
     for grads, counts in results:

@@ -162,6 +162,33 @@ def test_train_channel_mismatch(tmp_path, capsys):
     assert "input channels" in capsys.readouterr().err
 
 
+def test_train_checks_a_generated_task_before_drawing_it(tmp_path, monkeypatch, capsys):
+    # a million classes took 46.6 s and 380 MiB to draw when the head was
+    # only compared with the drawn dataset
+    def no_draw(*args, **kwargs):
+        raise AssertionError("the task was drawn before its check")
+
+    monkeypatch.setattr(srnn.cli, "gen_pattern_classification", no_draw)
+    monkeypatch.setattr(srnn.cli, "gen_streaming_waveform", no_draw)
+    task = {"kind": "pattern_classification", "n_classes": 1000000, "t_steps": 8,
+            "channels": 3, "jitter_std": 0.5, "seed": 1, "n_samples": 20}
+    cfg = pattern_config(tmp_path, out_name="wide", task=task)
+    assert main(["train", "--config", cfg]) == 2
+    assert capsys.readouterr().err == ("error: the task has 1000000 classes but "
+                                       "the network's head is 2 wide\n")
+    # a streaming task is one analog channel until it is encoded into two
+    doc = json.loads(Path(streaming_config(tmp_path)).read_text())
+    del doc["task"]["encode"]
+    assert main(["train", "--config", write_config(tmp_path / "raw.json", doc)]) == 2
+    assert capsys.readouterr().err == ("error: the network expects 2 input channels "
+                                       "but the task has 1\n")
+    doc["task"]["k"] = 3
+    doc["network"]["input_size"] = 1
+    assert main(["train", "--config", write_config(tmp_path / "k3.json", doc)]) == 2
+    assert capsys.readouterr().err == ("error: the task has 3 classes but the "
+                                       "network's head is 2 wide\n")
+
+
 def test_eval_and_energy_channel_mismatch(tmp_path, capsys):
     save_model(init_network(NetworkSpec(input_size=3, layers=[
         LayerSpec(size=4, neuron="alif", recurrent=True)])), tmp_path / "m.json")
@@ -537,6 +564,9 @@ CONFIG_MUTATIONS = {
     "task-unallocatable-classes": ("task/n_classes", 10**20,
                                    "bad task section: Maximum allowed dimension exceeded"),
 }
+# Cases run by `srnn gen`, which draws a task without comparing it with a
+# network; `srnn train` rejects a class count wider than the head first.
+GEN_CASES = {"task-unallocatable-classes"}
 
 # Manifest mutations of a saved test split: (new manifest, text the error must hold).
 MANIFEST_MUTATIONS = {
@@ -595,6 +625,8 @@ def boundary_argv(tmp_path, case):
         node[int(key) if isinstance(node, list) else key] = value
         text = json.dumps(doc).replace(f'"{RAW_1E400}"', "1e400")
         (tmp_path / "b.json").write_text(text)
+        if case in GEN_CASES:
+            return ["gen", "--config", cfg, "--out", str(tmp_path / "g")], why
         command = "gradcheck" if path.startswith("check/") else "train"
         return [command, "--config", cfg], why
     if case in ARCH_FILES:

@@ -215,6 +215,49 @@ def test_tape_agrees_across_blocks_of_the_reverse_sweep(soft):
             np.testing.assert_allclose(al[name], ref, rtol=1e-9, atol=1e-10)
 
 
+SLOW_KINDS = {"alif": dict(neuron="alif", tau_adp_init=(12.0, 2.0), b_0=0.2, beta=0.3),
+              "lif": dict(neuron="lif", theta=0.3),
+              "relu": dict(neuron="relu"),
+              "readout": dict(neuron="readout")}
+
+
+@pytest.mark.parametrize("soft", [False, True])
+@pytest.mark.parametrize("kind", sorted(SLOW_KINDS))
+def test_tape_matches_tau_m_gradients_near_the_clip(kind, soft):
+    # The sweep recovers held - r_m * pre from the trace as
+    # (held - u - kick) / (1 - decay), which amplifies the rounding of u by
+    # 1/(1 - decay) ~ 1e4 at tau_m near its 1e4*dt clip. Every layer runs
+    # there, the readout head included; spiking membranes start on both
+    # sides of the threshold, so soft-mode units fire too.
+    slow = (0.9995e4, 2.0)
+    spec = NetworkSpec(
+        input_size=3,
+        layers=[LayerSpec(size=4, recurrent=True, tau_m_init=slow, **SLOW_KINDS[kind]),
+                LayerSpec(size=3, neuron="readout", recurrent=True, tau_m_init=slow)],
+        decode="membrane_softmax")
+    net = init_network(spec, 4)
+    rng = np.random.default_rng(5)
+    hidden = net.layers[0]
+    if kind in ("alif", "lif"):
+        rest = hidden.spec.b_0 if kind == "alif" else hidden.spec.theta
+        hidden.u_init = rng.uniform(0.0, 2.0 * rest, size=hidden.size)
+    assert all((l.tau_m > 0.999e4).all() for l in net.layers)
+    x = 2.0 * rng.standard_normal((2, 20, 3))
+    labels = rng.integers(0, 3, size=2)
+    surrogate = MultiGaussian()
+    _, tape_set = tape_gradients(net, x, labels, surrogate, soft=soft)
+    analytic = backward(net, forward_sequence(net, x, soft=soft), labels, surrogate)
+    for tl, al in zip(tape_set.layers, analytic.layers):
+        for name, ref in tl.items():
+            if ref is None:
+                continue
+            # tau_m gradients are ~1e-10 here: the absolute tolerance is
+            # taken relative to the family's largest entry
+            scale = np.abs(ref).max()
+            assert scale > 0.0, name
+            np.testing.assert_allclose(al[name], ref, rtol=1e-9, atol=1e-10 * scale)
+
+
 @pytest.mark.parametrize("neuron, decode", [("readout", "membrane_softmax"),
                                              ("alif", "spike_count")])
 def test_tape_matches_backward_on_a_head_only_net(neuron, decode):

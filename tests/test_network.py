@@ -351,7 +351,7 @@ def test_wide_spiking_layers_stream_from_active_rows(soft):
 
 def _assert_traces_close(got, want, batch=slice(None)):
     """Spike trains equal, every other trace array within 1e-12."""
-    for field in ("pre", "u", "y", "eta"):
+    for field in ("u", "y", "eta"):
         a, b = getattr(got, field), getattr(want, field)
         if b is None:
             assert a is None
@@ -548,6 +548,28 @@ def test_the_head_reads_merged_without_a_copy():
     assert trace.merged is trace.inputs
 
 
+@pytest.mark.parametrize("soft", [False, True])
+def test_a_trace_keeps_no_drive(soft):
+    # the drive is formed in u and not kept: per step and unit an alif
+    # trace holds u, y and eta, a lif, relu or readout trace u and y
+    net = init_network(NetworkSpec(
+        input_size=3, decode="membrane_softmax",
+        layers=[LayerSpec(size=5, neuron="alif", recurrent=True),
+                LayerSpec(size=4, neuron="lif", recurrent=True),
+                LayerSpec(size=6, neuron="relu"),
+                LayerSpec(size=2, neuron="readout", recurrent=True)]), seed=1)
+    t_steps, batch = 9, 2
+    trace = forward_sequence(net, np.random.default_rng(2).normal(size=(batch, t_steps, 3)),
+                             soft=soft)
+    for lt, held in zip(trace.layers, (("eta", "u", "y"), ("u", "y"), ("u", "y"),
+                                       ("u", "y")), strict=True):
+        per_step = {k: a for k, a in vars(lt).items()
+                    if isinstance(a, np.ndarray) and a.shape[:2] == (t_steps, batch)}
+        assert sorted(per_step) == list(held)
+        n = lt.u.shape[2]
+        assert sum(a.nbytes for a in per_step.values()) == len(held) * t_steps * batch * n * 8
+
+
 def test_bidirectional_palindrome_symmetry():
     bn = init_network(bidi_spec(zero_init_membrane=True), seed=13)
     rng = np.random.default_rng(7)
@@ -696,6 +718,8 @@ def test_load_rejects_arrays_that_contradict_the_spec(tmp_path):
 
     cases = [
         (edit(plain, "layers", 0, "tau_m", [-5.0] * 5), "layers[0].tau_m: below dt"),
+        (edit(plain, "layers", 0, "tau_m", [8.0] * 4 + [2e4]),
+         "layers[0].tau_m: above 10000 * dt"),
         (edit(plain, "layers", 1, "tau_adp", [math.nan] * 4),
          "layers[1].tau_adp: not finite"),
         (edit(plain, "layers", 0, "w_in", [[1.0]]),
