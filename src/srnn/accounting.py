@@ -117,8 +117,9 @@ class SpikeCounts:
     count on spiking layers, None on the others. `head` is the index of
     the readout head, which tells the forward stack from the back stack of
     a bidirectional net. `sample_steps` counts the samples times steps
-    behind the counts. Every count is an exact integer, so counts added
-    over chunks equal those of one pass over the whole set.
+    behind the counts. Counts are integer arrays (a hard trace's spikes
+    are bools), so counts added over chunks equal those of one pass over
+    the whole set.
     """
 
     per_neuron: list[Optional[np.ndarray]]
@@ -127,7 +128,8 @@ class SpikeCounts:
 
     @classmethod
     def zeros(cls, net: Network) -> "SpikeCounts":
-        return cls([np.zeros(layer.size) if layer.spec.neuron in SPIKING_KINDS else None
+        return cls([np.zeros(layer.size, dtype=int)
+                    if layer.spec.neuron in SPIKING_KINDS else None
                     for layer in net.all_layers], head=len(net.layers) - 1)
 
     @classmethod

@@ -280,8 +280,12 @@ def save_dense_csv(ds: Dataset, path) -> None:
 
 
 def load_event_csv(path) -> Dataset:
-    """Read sample,t,channel,label spike events into a binary dataset."""
-    events = []
+    """Read sample,t,channel,label spike events into a binary dataset.
+
+    Raises ValueError naming the file and line of a malformed or negative
+    event, and of an event whose label differs from its sample's first one.
+    """
+    events, line_nos = [], []
     with open(path) as f:
         for line_no, line in enumerate(f, start=1):
             line = line.strip()
@@ -295,11 +299,22 @@ def load_event_csv(path) -> Dataset:
                 events.append([int(p) for p in parts])
             except ValueError:
                 raise _parse_error(path, line_no, "non-integer field") from None
+            line_nos.append(line_no)
     if not events:
         raise ValueError(f"{path}: no events")
     ev = np.asarray(events)
-    if ev.min() < 0:
-        raise ValueError(f"{path}: negative field")
+    negative = (ev < 0).any(axis=1).nonzero()[0]
+    if negative.size:
+        raise _parse_error(path, line_nos[negative[0]], "negative field")
+    samples, first = np.unique(ev[:, 0], return_index=True)
+    sample_label = ev[first[np.searchsorted(samples, ev[:, 0])], 3]
+    clash = (ev[:, 3] != sample_label).nonzero()[0]
+    if clash.size:
+        i = clash[0]
+        j = first[np.searchsorted(samples, ev[i, 0])]
+        raise _parse_error(path, line_nos[i],
+                           f"sample {ev[i, 0]} has label {ev[i, 3]} here but "
+                           f"label {ev[j, 3]} on line {line_nos[j]}")
     n = ev[:, 0].max() + 1
     t_steps = ev[:, 1].max() + 1
     channels = ev[:, 2].max() + 1

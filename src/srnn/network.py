@@ -3,8 +3,9 @@
 A network is a stack of layers; at step t layer l receives the step-t
 output of layer l-1 (the input vector for layer 1, injected as current)
 plus, if the layer is recurrent, its own output from step t-1 through a
-square recurrent matrix. Forward passes record a per-layer trace (membrane,
-output, and the adaptation variable) which the trainer consumes.
+square recurrent matrix. Forward passes record a per-layer trace which
+the trainer consumes: the membrane, the output (spikes as bytes) and, on
+adaptive layers, marks from which the adaptation variable is replayed.
 
 Every network is a hidden stack, possibly empty, and a head, the last of
 `layers`, which reads `merged`: the last hidden output, or the input. A
@@ -27,14 +28,23 @@ All four neuron kinds run one leaky membrane recursion,
 
 with gain = r_m * (1 - decay). Adaptive layers also carry
 eta_t = rho * eta_{t-1} + (1 - rho) * y_{t-1} and fire against
-theta_t = b_0 + beta * eta_t; the trace records eta, not theta. A layer's
-`Cell` is the one home of these rules: its coefficients and their
-derivatives in the time constants, its threshold and its reset. Forward
-passes, the online step and the reverse sweep in srnn.training all read
-them from there.
+theta_t = b_0 + beta * eta_t. A layer's `Cell` is the one home of these
+rules: its coefficients and their derivatives in the time constants, its
+threshold, its reset and its adaptation update. Forward passes, the
+online step and the reverse sweep in srnn.training all read them from
+there.
 
 A sequence runs layer-major: each layer runs over all T steps before
-the next starts, writing u, y and eta straight into its trace. The drive
+the next starts, writing u and y straight into its trace. A hard-mode
+lif or alif trace keeps its spikes as a bool array (one byte per
+unit-step); relu and soft-mode layers keep a float y, and a readout's y
+is its u. eta is a cheap recurrence over the spikes, so an adaptive
+trace keeps it only at the start of every BLOCK_STEPS-step block of the
+reverse sweep: eta_{t0-1} for t0 = 0, BLOCK_STEPS, 2*BLOCK_STEPS, ...
+(`LayerTrace.eta_marks`). The sweep replays a block's eta from its mark
+with `Cell.adapt`, the update the forward pass ran, so the replay is bit
+for bit the forward's eta (after Gruslys et al. 2016, "Memory-Efficient
+Backpropagation Through Time", arXiv 1606.03401). The drive
 pre_t = x_t @ w_in + bias [+ y_{t-1} @ w_rec] is formed in the trace's
 u_t, which the step then turns into the membrane; the trace keeps no
 drive of its own (the reverse sweep recovers what it needs of it from u,
@@ -107,6 +117,9 @@ EVENT_MIN_ENTRIES = 1 << 15
 # it, Adam steps clamp into it and model files outside it are rejected. The
 # reverse sweep divides by 1 - decay, which this keeps from vanishing.
 TAU_MAX_DT = 1e4
+# Time steps per block of the reverse sweep in srnn.training, and the stride
+# of an adaptive trace's eta marks (see the module docstring).
+BLOCK_STEPS = 16
 
 
 @dataclass
@@ -281,15 +294,27 @@ class LayerTrace:
     cell: Cell                       # the cell the trace was run with
     u: np.ndarray                    # (T, B, n) membrane after the update; holds
                                      # the drive pre_t until step t runs
-    y: np.ndarray                    # (T, B, n) emitted output
-    eta: Optional[np.ndarray]        # (T, B, n) adaptation; theta = b_0 + beta*eta
+    y: np.ndarray                    # (T, B, n) emitted output: bool spikes on a
+                                     # hard lif/alif layer, u itself on a readout
+    eta_marks: Optional[np.ndarray]  # (ceil(T / BLOCK_STEPS), B, n) on adaptive
+                                     # layers: eta_{t0-1} for t0 = 0, BLOCK_STEPS, ...
     u_init: np.ndarray               # (B, n)
     y_init: np.ndarray               # (B, n)
-    eta_init: Optional[np.ndarray]   # (B, n)
 
     @property
     def spiking(self) -> bool:
         return self.cell.kind in SPIKING_KINDS
+
+    @property
+    def eta(self) -> Optional[np.ndarray]:
+        """(T, B, n) adaptation replayed from the first mark; theta = b_0 + beta*eta."""
+        if self.eta_marks is None:
+            return None
+        eta = np.empty((len(self.u) + 1,) + self.u.shape[1:])
+        if len(self.u):                # an empty trace has no marks
+            y_prev = np.concatenate([self.y_init[None], self.y[:-1]])
+            self.cell.replay_eta(self.eta_marks[0], y_prev, eta)
+        return eta[1:]
 
 
 @dataclass
@@ -377,6 +402,24 @@ class Cell:
             return u * (1.0 - y) + self.spec.u_r * y
         return u
 
+    def adapt(self, eta: np.ndarray, kick: np.ndarray, out=None) -> np.ndarray:
+        """eta_t = rho * eta_{t-1} + kick, with kick = eta_gain * y_{t-1}, into out."""
+        out = np.multiply(self.rho, eta, out=out)
+        out += kick
+        return out
+
+    def replay_eta(self, mark: np.ndarray, y_prev: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """Replay eta from mark = eta_{t0-1} over the k rows y_prev = y_{t0-1..t0+k-2}.
+
+        out, (k + 1, B, n), gets eta_{t0-1+i} in row i: the forward pass's
+        `adapt` calls, bit for bit, with all k kicks formed in one product.
+        """
+        kick = self.eta_gain * y_prev
+        out[0] = mark
+        for i, kick_i in enumerate(kick):
+            self.adapt(out[i], kick_i, out[i + 1])
+        return out
+
 
 def cell(layer: Layer) -> Cell:
     """The layer's Cell (see the module docstring for the recursion)."""
@@ -416,8 +459,9 @@ def _step_layer(c: Cell, pre: np.ndarray, prev: tuple, soft: bool,
     included; it may be out's u itself, which the step overwrites. `prev`
     is the (u, y, eta, theta) the step starts from; eta and theta are None
     on layers without adaptation. The new u, y and eta are written into the
-    arrays of `out` (rows of a trace), or into fresh arrays where `out`
-    holds None; theta is always fresh, as the next step reads it for its
+    arrays of `out` (rows of a trace; a bool y takes the spikes as they
+    are), or into fresh arrays where `out` holds None; a readout's y is
+    its u, and theta is always fresh, as the next step reads it for its
     threshold kick. The gain term comes first so that a drive held in u
     can be scaled in place; addition commutes, so u is bit for bit
     decay * held + gain * pre.
@@ -428,14 +472,10 @@ def _step_layer(c: Cell, pre: np.ndarray, prev: tuple, soft: bool,
     u += c.decay * c.held(u0, y0)
     if c.rho is not None:
         u -= theta0 * y0
-        eta = np.multiply(c.rho, eta0, out=eta)
-        eta += c.eta_gain * y0
+        eta = c.adapt(eta0, c.eta_gain * y0, out=eta)
     theta = c.threshold(eta)
     if c.kind == "readout":
-        if y is None:
-            y = u
-        else:
-            y[...] = u
+        y = u
     elif c.kind == "relu":
         y = np.maximum(0.0, u, out=y)
     elif soft:
@@ -535,30 +575,51 @@ def _run_layers(layers: list[Layer], x_tbn: np.ndarray, soft: bool) -> list[Laye
     then turns into the membrane in place. Spiking layers (every layer in
     soft mode) take their feed-forward drive for all steps from
     `_project`; the others form it step by step, as `forward_step` does
-    (see the module docstring).
+    (see the module docstring). Hard spiking layers write their spikes
+    into a bool y, and the next step reads a float copy of them: numpy
+    multiplies a float by a bool array at about half the speed of two
+    float arrays. eta runs in two (B, n) buffers in turn, and the one a
+    block starts from is copied into the trace's marks.
     """
     traces, inp = [], x_tbn
     for layer in layers:
         c = cell(layer)
         prev = _initial(layer, c, inp.shape[1])
         shape = inp.shape[:2] + (layer.size,)
-        tr = LayerTrace(cell=c, u=np.empty(shape), y=np.empty(shape),
-                        eta=None if c.rho is None else np.empty(shape),
-                        u_init=prev[0], y_init=prev[1], eta_init=prev[2])
+        u = np.empty(shape)
+        spikes = None
+        if c.kind == "readout":
+            y = u
+        elif c.kind in SPIKING_KINDS and not soft:
+            y, spikes = np.empty(shape, dtype=bool), np.empty(shape[1:])
+        else:
+            y = np.empty(shape)
+        marks = None
+        if c.rho is not None:
+            marks = np.empty(((shape[0] + BLOCK_STEPS - 1) // BLOCK_STEPS,) + shape[1:])
+            etas = (np.empty(shape[1:]), np.empty(shape[1:]))
+        tr = LayerTrace(cell=c, u=u, y=y, eta_marks=marks, u_init=prev[0], y_init=prev[1])
         hoisted = soft or c.kind in SPIKING_KINDS
         if hoisted:
-            _project(inp, layer.w_in, tr.u)
-            tr.u += layer.bias
-        for t, pre in enumerate(tr.u):
+            _project(inp, layer.w_in, u)
+            u += layer.bias
+        for t, pre in enumerate(u):
             if not hoisted:
                 np.matmul(inp[t], layer.w_in, out=pre)
                 pre += layer.bias
             if layer.w_rec is not None:
                 pre += prev[1] @ layer.w_rec
-            out = (pre, tr.y[t], None if tr.eta is None else tr.eta[t])
-            prev = _step_layer(c, pre, prev, soft, out)
+            eta = None
+            if marks is not None:
+                if t % BLOCK_STEPS == 0:
+                    marks[t // BLOCK_STEPS] = prev[2]
+                eta = etas[t % 2]
+            prev = _step_layer(c, pre, prev, soft, (pre, y[t], eta))
+            if spikes is not None:
+                spikes[...] = prev[1]
+                prev = (prev[0], spikes) + prev[2:]
         traces.append(tr)
-        inp = tr.y
+        inp = y
     return traces
 
 
@@ -567,14 +628,15 @@ def forward_sequence(net: Network, x, soft: bool = False) -> ForwardTrace:
 
     Accepts (T, N) for one sequence or (B, T, N) for a batch; the trace is
     always time-major with an explicit batch axis. `merged` is the head's
-    input: the last hidden y (not a copy), the input, or both tops' mean.
+    input: the last hidden y (not a copy, so bool spikes in hard mode), the
+    input, or both tops' mean, a float array (bool + bool would be an OR).
     """
     x_tbn = _checked_input(x, net.spec.input_size)
     fwd = _run_layers(net.layers[:-1], x_tbn, soft)
     back = _run_layers(net.back, x_tbn[::-1], soft)
     merged = fwd[-1].y if fwd else x_tbn
     if back:
-        merged = 0.5 * (merged + back[-1].y[::-1])
+        merged = 0.5 * np.add(merged, back[-1].y[::-1], dtype=float)
     head = _run_layers(net.layers[-1:], merged, soft)
     return ForwardTrace(inputs=x_tbn, layers=fwd + head, merged=merged, soft=soft, back=back)
 

@@ -6,7 +6,9 @@ layer's recorded trace from the last step to the first, carrying adjoints
 for the membrane and (on adaptive layers) the adaptation variable. One
 sweep serves every neuron kind: the kind enters only through its partials
 (see `_block_partials`) and, on adaptive layers, the eta chain, whose
-threshold `Cell.threshold` forms from the recorded eta. At every spike
+threshold `Cell.threshold` forms from eta replayed block by block from
+the trace's marks with `Cell.replay_eta`, bit for bit the forward's eta
+(see srnn.network). At every spike
 the configured surrogate stands in for the derivative of the threshold
 test, so the membrane and adaptation chains stay differentiable while the
 spikes themselves remain binary. The two explicitly non-differentiable
@@ -27,9 +29,13 @@ In the soft evaluation mode (see srnn.network) nothing is detached and
 the spike derivative is exact, which is what the finite-difference
 checker relies on.
 
-Only the adjoint recursion itself runs step by step. The partials depend
-on the recorded trace alone and are evaluated for a block of steps at
-once, and the time-constant sums are reduced once per block. Weight
+Only the adjoint recursion and the eta replay run step by step. The
+partials depend on the recorded trace alone and are evaluated for a
+block of BLOCK_STEPS steps at once, and the time-constant sums are
+reduced once per block. The adjoint step writes into three preallocated
+(B, n) buffers, so it allocates nothing. A hard trace's spikes are bool
+arrays, which the sweep casts to float once per block, and once per
+weight-gradient product. Weight
 gradients are each a single GEMM over time x batch: (T*B, fan_in)^T @
 (T*B, n) for the input weights and the same over the shifted outputs for
 the recurrent weights. The gradient passed to the layer below is formed
@@ -55,6 +61,7 @@ import numpy as np
 
 from srnn.accounting import ArchDescription, SpikeCounts, synaptic_ops
 from srnn.network import (
+    BLOCK_STEPS,
     Cell,
     ForwardTrace,
     Layer,
@@ -178,22 +185,24 @@ def zero_grads(net: Network) -> GradientSet:
         for layer in net.all_layers])
 
 
-# Time steps per block of the reverse sweep. Trace-only factors and the
-# time-constant sums are handled a block at a time, so their temporaries
-# stay at a block's size however long the sequence is.
-_BLOCK_STEPS = 16
-
-
 def _blocks(t_steps: int):
-    """[t0, t1) time blocks of the reverse sweep, last block first."""
-    for t0 in range((t_steps - 1) // _BLOCK_STEPS * _BLOCK_STEPS, -1, -_BLOCK_STEPS):
-        yield t0, min(t0 + _BLOCK_STEPS, t_steps)
+    """[t0, t1) time blocks of the reverse sweep, last block first.
+
+    Trace-only factors and the time-constant sums are handled a block at a
+    time, so their temporaries stay at a block's size however long the
+    sequence is; an adaptive trace keeps eta at the start of each block.
+    """
+    for t0 in range((t_steps - 1) // BLOCK_STEPS * BLOCK_STEPS, -1, -BLOCK_STEPS):
+        yield t0, min(t0 + BLOCK_STEPS, t_steps)
 
 
 def _prev(seq: np.ndarray, init: np.ndarray, t0: int, t1: int) -> np.ndarray:
-    """seq[t - 1] for t in [t0, t1), with init standing in for seq[-1]."""
+    """seq[t - 1] for t in [t0, t1), with init standing in for seq[-1].
+
+    Bool spikes come back as float, cast once for the products that read them.
+    """
     if t0 > 0:
-        return seq[t0 - 1:t1 - 1]
+        return seq[t0 - 1:t1 - 1].astype(float, copy=False)
     return np.concatenate([init[None], seq[:t1 - 1]], axis=0)
 
 
@@ -203,20 +212,26 @@ def _sum_outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     A time-major `a` reshapes for free. The network input is the swapped
     axes of a (B, T, N) array, possibly time-reversed; it is reduced in its
     own batch-major layout and the narrower `b` is the one that is copied.
+    Bool spikes are cast to float here, in their own layout: the copy
+    matmul would make for them is C-ordered, and for a narrow `b` BLAS
+    then sums in another order than it does over the transposed view.
     """
     if a.strides[0] < 0:
         a, b = a[::-1], b[::-1]
     if not a.flags.c_contiguous and a.transpose(1, 0, 2).flags.c_contiguous:
         a, b = a.transpose(1, 0, 2), b.transpose(1, 0, 2)
+    if a.dtype == bool:
+        a = a.astype(float)
     return a.reshape(-1, a.shape[2]).T @ b.reshape(-1, b.shape[2])
 
 
-def _block_partials(c: Cell, tr: LayerTrace, t0: int, t1: int,
+def _block_partials(c: Cell, tr: LayerTrace, t0: int, t1: int, eta: Optional[np.ndarray],
                     surrogate: SurrogateKind, soft: bool):
     """The kind's partials over steps [t0, t1): (carry, slope, dy_next).
 
-    carry = d u_{t+1} / d u_t, an (n,) vector unless a reset to rest makes
-    it step-dependent; slope = d y_t / d u_t, None for the readout (y = u);
+    eta holds the block's replayed eta on adaptive layers. carry =
+    d u_{t+1} / d u_t, an (n,) vector unless a reset to rest makes it
+    step-dependent; slope = d y_t / d u_t, None for the readout (y = u);
     dy_next = d u_{t+1} / d y_t of the reset, None unless soft.
     """
     u = tr.u[t0:t1]
@@ -224,7 +239,7 @@ def _block_partials(c: Cell, tr: LayerTrace, t0: int, t1: int,
         return c.decay, None, None
     if c.kind == "relu":
         return c.decay, (u > 0).astype(float), None
-    theta = c.threshold(None if tr.eta is None else tr.eta[t0:t1])
+    theta = c.threshold(eta)
     if soft:
         slope = (u >= theta).astype(float)
     else:
@@ -246,7 +261,12 @@ def _layer_backward(layer: Layer, tr: LayerTrace, below_y: np.ndarray,
     d loss / d pre = lam_u * gain in one pass afterwards, so the
     recurrent path applies gain through `w_back` instead. The tau_m sum
     reads lam_u against held - u - kick and is divided by (1 - decay) once
-    at the end (see the module docstring).
+    at the end (see the module docstring). Each step forms gy, q and their
+    products in the buffers `gy`, `q` and `tmp`, in the order of
+    gy = ext + rec + eta term + reset term; the first add is always taken,
+    even onto `no_ext`, so the signs of zeros stay those of that sum. The
+    per-unit factors the step multiplies by are spread to (B, n) rows
+    first: numpy multiplies equal shapes faster than it broadcasts.
     """
     s = layer.spec
     c = tr.cell
@@ -255,42 +275,51 @@ def _layer_backward(layer: Layer, tr: LayerTrace, below_y: np.ndarray,
     dpre = np.empty((t_steps, batch, n))
     lam_u_next = np.zeros((batch, n))
     no_ext = np.zeros((batch, n))
+    gy_buf, q_buf, tmp = (np.empty((batch, n)) for _ in range(3))
     w_back = c.gain[:, None] * layer.w_rec.T if layer.w_rec is not None else None
     acc_tau_m = np.zeros(n)
     adaptive = c.rho is not None
+    eta = eta_prev = None
     if adaptive:
-        lam_eta = np.empty((min(_BLOCK_STEPS, t_steps), batch, n))
+        block = min(BLOCK_STEPS, t_steps)
+        lam_eta = np.empty((block, batch, n))
         lam_eta_next = np.zeros((batch, n))
+        replay = np.empty((block + 1, batch, n))
         acc_tau_adp = np.zeros(n)
+        rho, eta_gain = np.tile(c.rho, (batch, 1)), np.tile(c.eta_gain, (batch, 1))
 
     for t0, t1 in _blocks(t_steps):
-        carry, slope, dy_next = _block_partials(c, tr, t0, t1, surrogate, soft)
+        y_prev = _prev(tr.y, tr.y_init, t0, t1)
+        if adaptive:
+            c.replay_eta(tr.eta_marks[t0 // BLOCK_STEPS], y_prev, replay[:t1 - t0 + 1])
+            eta_prev, eta = replay[:t1 - t0], replay[1:t1 - t0 + 1]
+        carry, slope, dy_next = _block_partials(c, tr, t0, t1, eta, surrogate, soft)
+        if carry.ndim == 1:
+            carry = np.tile(carry, (batch, 1))
         for t in range(t1 - 1, t0 - 1, -1):
             k = t - t0
             gy = no_ext if g_ext is None else g_ext[t]
             if w_back is not None and t < last:
-                gy = gy + lam_u_next @ w_back
+                gy = np.add(gy, np.matmul(lam_u_next, w_back, out=tmp), out=gy_buf)
             if adaptive:
-                gy = gy + c.eta_gain * lam_eta_next
+                gy = np.add(gy, np.multiply(eta_gain, lam_eta_next, out=tmp), out=gy_buf)
             if dy_next is not None:
-                gy = gy + dy_next[k] * lam_u_next
-            q = gy if slope is None else slope[k] * gy
-            lam_u = np.multiply(carry if carry.ndim == 1 else carry[k],
+                gy = np.add(gy, np.multiply(dy_next[k], lam_u_next, out=tmp), out=gy_buf)
+            q = gy if slope is None else np.multiply(slope[k], gy, out=q_buf)
+            lam_u = np.multiply(carry if carry.ndim == 2 else carry[k],
                                 lam_u_next, out=dpre[t])
             lam_u += q
             if g_direct is not None:
                 lam_u += g_direct[t]
             if adaptive:
                 if soft:                       # theta_t also scales the reset at t+1
-                    q = q + tr.y[t] * lam_u_next
-                np.multiply(c.rho, lam_eta_next, out=lam_eta[k])
-                lam_eta[k] -= s.beta * q
+                    q = np.add(q, np.multiply(tr.y[t], lam_u_next, out=tmp), out=q_buf)
+                np.multiply(rho, lam_eta_next, out=lam_eta[k])
+                lam_eta[k] -= np.multiply(s.beta, q, out=tmp)
                 lam_eta_next = lam_eta[k]
             lam_u_next = lam_u
-        y_prev = _prev(tr.y, tr.y_init, t0, t1)
         drift = c.held(_prev(tr.u, tr.u_init, t0, t1), y_prev) - tr.u[t0:t1]
         if adaptive:
-            eta_prev = _prev(tr.eta, tr.eta_init, t0, t1)
             drift -= c.threshold(eta_prev) * y_prev
             acc_tau_adp += np.einsum("tbn,tbn->n", lam_eta[:t1 - t0], eta_prev - y_prev)
         acc_tau_m += np.einsum("tbn,tbn->n", dpre[t0:t1], drift)

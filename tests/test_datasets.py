@@ -337,8 +337,14 @@ def test_event_csv_parse_errors(tmp_path):
     bad.write_text("0,1,2,1.5\n")
     with pytest.raises(ValueError, match="non-integer"):
         load_event_csv(bad)
-    bad.write_text("0,-1,2,1\n")
-    with pytest.raises(ValueError, match="negative"):
+    bad.write_text("0,1,2,1\n\n0,-1,2,1\n")
+    with pytest.raises(ValueError, match=r"bad\.csv:3: negative field"):
+        load_event_csv(bad)
+    # one sample's events must agree on its label; the error names the
+    # line of the first disagreeing event and both labels
+    bad.write_text("1,0,0,2\n0,0,1,1\n0,3,2,1\n1,4,0,0\n")
+    with pytest.raises(ValueError, match=r"bad\.csv:4: sample 1 has label 0 here "
+                                         r"but label 2 on line 1"):
         load_event_csv(bad)
     bad.write_text("")
     with pytest.raises(ValueError, match="no events"):

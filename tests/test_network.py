@@ -4,14 +4,17 @@ import copy
 import json
 import math
 import re
+from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from srnn.accounting import SpikeCounts, firing_rate
 from srnn.datasets import gen_pattern_classification
 from srnn.network import (
+    BLOCK_STEPS,
     LayerSpec,
     Network,
     NetworkSpec,
@@ -34,7 +37,7 @@ from srnn.neurons import (
     relu_step,
 )
 from srnn.surrogates import MultiGaussian
-from srnn.training import AdamState, adam_step, backward, evaluate
+from srnn.training import AdamState, _score, adam_step, backward, evaluate, step_probs
 
 
 def small_spec(**kw):
@@ -550,24 +553,128 @@ def test_the_head_reads_merged_without_a_copy():
 
 @pytest.mark.parametrize("soft", [False, True])
 def test_a_trace_keeps_no_drive(soft):
-    # the drive is formed in u and not kept: per step and unit an alif
-    # trace holds u, y and eta, a lif, relu or readout trace u and y
+    # the drive is formed in u and not kept. Per step and unit a hard lif
+    # or alif trace holds u (8 bytes) and its spikes as bools (1 byte), an
+    # alif trace adds one eta mark per BLOCK_STEPS steps; a relu trace
+    # holds u and y, a readout trace u with y = u, and soft mode a float y
     net = init_network(NetworkSpec(
         input_size=3, decode="membrane_softmax",
         layers=[LayerSpec(size=5, neuron="alif", recurrent=True),
                 LayerSpec(size=4, neuron="lif", recurrent=True),
                 LayerSpec(size=6, neuron="relu"),
                 LayerSpec(size=2, neuron="readout", recurrent=True)]), seed=1)
-    t_steps, batch = 9, 2
+    t_steps, batch = 37, 2
     trace = forward_sequence(net, np.random.default_rng(2).normal(size=(batch, t_steps, 3)),
                              soft=soft)
-    for lt, held in zip(trace.layers, (("eta", "u", "y"), ("u", "y"), ("u", "y"),
-                                       ("u", "y")), strict=True):
-        per_step = {k: a for k, a in vars(lt).items()
-                    if isinstance(a, np.ndarray) and a.shape[:2] == (t_steps, batch)}
-        assert sorted(per_step) == list(held)
-        n = lt.u.shape[2]
-        assert sum(a.nbytes for a in per_step.values()) == len(held) * t_steps * batch * n * 8
+    spike = np.dtype(float if soft else bool)
+    layouts = {"alif": (("eta_marks", "u", "y"), spike), "lif": (("u", "y"), spike),
+               "relu": (("u", "y"), np.dtype(float)), "readout": (("u", "y"), np.dtype(float))}
+    for lt in trace.layers:
+        held, y_dtype = layouts[lt.cell.kind]
+        arrays = {k: a for k, a in vars(lt).items() if isinstance(a, np.ndarray) and a.ndim == 3}
+        assert sorted(arrays) == list(held)
+        assert lt.u.dtype == float and lt.y.dtype == y_dtype
+        assert (lt.y is lt.u) == (lt.cell.kind == "readout")
+        unit_steps = t_steps * batch * lt.u.shape[2]
+        kept = {id(a): a for a in arrays.values()}.values()
+        marks = math.ceil(t_steps / BLOCK_STEPS) * batch * lt.u.shape[2] * 8
+        assert sum(a.nbytes for a in kept) == (
+            unit_steps * (8 + (0 if lt.y is lt.u else y_dtype.itemsize))
+            + (marks if lt.cell.kind == "alif" else 0))
+
+
+ALIF_STACK = NetworkSpec(
+    input_size=3, decode="spike_count",
+    layers=[LayerSpec(size=6, neuron="alif", recurrent=True, tau_m_init=(6.0, 1.0),
+                      tau_adp_init=(8.0, 2.0), b_0=0.3, beta=0.5),
+            LayerSpec(size=3, neuron="alif", tau_m_init=(6.0, 1.0),
+                      tau_adp_init=(8.0, 2.0), b_0=0.3, beta=0.5)])
+
+
+@pytest.mark.parametrize("soft", [False, True])
+@pytest.mark.parametrize("t_steps", [1, 15, 16, 17, 37])
+def test_trace_eta_replays_the_forward_eta(t_steps, soft):
+    # a trace keeps eta only at block starts and replays the rest from its
+    # spikes; the replay must give, bit for bit, the eta that the forward
+    # pass and an online stream compute step by step
+    net = init_network(ALIF_STACK, seed=5)
+    for layer in net.layers:
+        layer.w_in *= 3.0
+    x = np.random.default_rng(t_steps).normal(size=(2, t_steps, 3))
+    trace = forward_sequence(net, x, soft=soft)
+    replayed = [lt.eta for lt in trace.layers]
+    states = init_state(net, batch=2)
+    for t in range(t_steps):
+        states, _ = forward_step(net, x[:, t], states, soft=soft)
+        for eta, st in zip(replayed, states, strict=True):
+            if soft:  # soft mode hoists every projection, so the last bits may move
+                np.testing.assert_allclose(eta[t], st.eta, rtol=1e-12, atol=1e-12)
+            else:
+                np.testing.assert_array_equal(eta[t], st.eta)
+    for layer, lt in zip(net.layers, trace.layers, strict=True):
+        # an independent run of eta_t = rho * eta_{t-1} + (1 - rho) * y_{t-1}
+        # over the trace's own outputs, and the marks at every block start
+        rho = np.exp(-layer.spec.dt / layer.tau_adp)
+        eta, y_prev, want = np.zeros((2, lt.u.shape[2])), lt.y_init, []
+        for y in lt.y:
+            eta = rho * eta + (1.0 - rho) * y_prev
+            want.append(eta)
+            y_prev = y
+        np.testing.assert_array_equal(lt.eta, np.reshape(want, lt.u.shape))
+        starts = np.arange(0, t_steps, BLOCK_STEPS)
+        assert lt.eta_marks.shape == (len(starts), 2, lt.u.shape[2])
+        np.testing.assert_array_equal(lt.eta_marks[0], 0.0)
+        np.testing.assert_array_equal(lt.eta_marks[1:], lt.eta[starts[1:] - 1])
+        if t_steps > 1 and not soft:
+            assert 0 < lt.y.sum() < lt.y.size     # spikes and silences were exercised
+
+
+def _float_spikes(trace):
+    """The trace with every bool y, and a bool merged, replaced by a float copy."""
+    def floated(lts):
+        return [replace(lt, y=lt.y.astype(float)) if lt.y.dtype == bool else lt for lt in lts]
+    layers = floated(trace.layers)
+    merged = layers[-2].y if trace.merged is trace.layers[-2].y else trace.merged
+    return replace(trace, layers=layers, back=floated(trace.back), merged=merged)
+
+
+def test_bool_spikes_read_as_numbers():
+    # numpy's bool arithmetic is a logical one (True + True is True): every
+    # consumer of a bool spike trace must give the numbers of a float one
+    bn = init_network(bidi_spec(zero_init_membrane=True), seed=23)
+    for layer in bn.all_layers:
+        layer.w_in *= 3.0
+    trace = forward_sequence(bn, np.random.default_rng(9).normal(size=(3, 20, 3)))
+    fwd, back = trace.layers[-2].y, trace.back[-1].y[::-1]
+    assert fwd.dtype == back.dtype == bool and (fwd & back).any()
+    assert trace.merged.dtype == float
+    np.testing.assert_array_equal(trace.merged, 0.5 * (fwd.astype(float) + back))
+    net = init_network(ALIF_STACK, seed=6)
+    for layer in net.layers:
+        layer.w_in *= 3.0
+    trace = forward_sequence(net, np.random.default_rng(10).normal(size=(4, 30, 3)))
+    as_float = _float_spikes(trace)
+    assert trace.head.y.dtype == bool and as_float.head.y.dtype == float
+    for a, b in zip(SpikeCounts.of(trace).per_neuron, SpikeCounts.of(as_float).per_neuron,
+                    strict=True):
+        assert a.dtype.kind == "i"
+        np.testing.assert_array_equal(a, b)
+    fr, fr_float = firing_rate(trace), firing_rate(as_float)
+    assert 0 < fr.mean < 1 and fr.mean == fr_float.mean
+    for a, b in zip(fr.per_layer, fr_float.per_layer, strict=True):
+        np.testing.assert_array_equal(a, b)
+    probs = step_probs(trace, "spike_count")
+    np.testing.assert_array_equal(probs, step_probs(as_float, "spike_count"))
+    labels = np.array([0, 1, 2, 1])
+    got, want = _score("spike_count", trace.head, labels), _score("spike_count", as_float.head,
+                                                               labels)
+    assert got[:3] == want[:3]
+    np.testing.assert_array_equal(got[3], want[3])
+    # and the reverse sweep, whose weight gradients are products with spikes
+    for a, b in zip(backward(net, trace, labels, MultiGaussian()).layers,
+                    backward(net, as_float, labels, MultiGaussian()).layers, strict=True):
+        for k, g in a.items():
+            np.testing.assert_array_equal(g, b[k], err_msg=k)
 
 
 def test_bidirectional_palindrome_symmetry():
