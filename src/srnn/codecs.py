@@ -16,17 +16,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from srnn.datasets import Dataset, input_array
 from srnn.training import _softmax, evaluate
 
 
 @dataclass
 class SpikeRaster:
-    """A binary (t_steps, channels) spike array."""
+    """A binary (t_steps, channels) spike array, bool or float like
+    `Dataset.inputs`."""
 
     data: np.ndarray
 
     def __post_init__(self):
-        self.data = np.asarray(self.data, dtype=float)
+        self.data = input_array(self.data)
         if self.data.ndim != 2:
             raise ValueError("a raster is a 2-d (t_steps, channels) array")
         if not np.all((self.data == 0) | (self.data == 1)):
@@ -48,7 +50,8 @@ def level_crossing_encode(x, up: float = 0.3, down: float = 0.3) -> SpikeRaster:
     """Encode an analog series (T,) or (T, K) into 2K spike channels.
 
     Channel 2k carries the up spikes of input channel k, channel 2k+1 the
-    down spikes. Step 0 has no predecessor and emits nothing.
+    down spikes. Step 0 has no predecessor and emits nothing. The raster
+    is a bool array.
     """
     if up <= 0 or down <= 0:
         raise ValueError("thresholds must be positive")
@@ -60,7 +63,7 @@ def level_crossing_encode(x, up: float = 0.3, down: float = 0.3) -> SpikeRaster:
     if not np.all(np.isfinite(x)):
         raise ValueError("input contains non-finite values")
     t_steps, k = x.shape
-    out = np.zeros((t_steps, 2 * k))
+    out = np.zeros((t_steps, 2 * k), dtype=bool)
     if t_steps > 1:
         d = np.diff(x, axis=0)
         out[1:, 0::2] = d >= up
@@ -125,8 +128,7 @@ def anytime_curve(net, data, chunk_size: int = 64) -> np.ndarray:
 
 
 def encode_dataset(ds, up: float = 0.3, down: float = 0.3):
-    """Level-crossing encode every sample of an analog dataset."""
-    from srnn.datasets import Dataset
+    """Level-crossing encode every sample of an analog dataset into bools."""
     rasters = np.stack([level_crossing_encode(ds.inputs[s], up, down).data
                         for s in range(ds.n_samples)])
     return Dataset(inputs=rasters, labels=ds.labels, kind=ds.kind,

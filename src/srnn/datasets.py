@@ -2,8 +2,14 @@
 
 Datasets are immutable in spirit: a dense (samples, t_steps, channels)
 input array plus either one label per sample (sequence classification) or
-one label per step (streaming). The generators are pure functions of
-their arguments; the same call always returns the same arrays.
+one label per step (streaming). Spike data is a bool array, one byte an
+entry: the pattern generator, the event CSV loader and the level-crossing
+encoder write bools, and `input_array` keeps them so. Analog data
+(waveforms, IDX pixels, dense CSV) is float. Training and evaluation never
+copy a bool set to float: the network casts its input to float piece by
+piece, where a product needs it (see srnn.network). The generators are
+pure functions of their arguments; the same call always returns the same
+arrays.
 
 The pattern task draws, once per channel, how many spike events that
 channel carries, then gives each class its own event times. Every class
@@ -11,7 +17,8 @@ therefore shows the same per-channel spike counts and differs only in
 when the events happen, so counting spikes cannot separate the classes;
 their temporal order can. Generation costs one `choice` draw per (class,
 channel) for the templates, then one label draw and one jitter draw per
-sample; the same arguments give the same arrays as earlier versions.
+sample; the same arguments give the same values as earlier versions,
+now as bools.
 
 File formats kept deliberately plain:
   dense CSV   one row per timestep: label,v0,...,v{N-1}
@@ -22,6 +29,7 @@ File formats kept deliberately plain:
 from __future__ import annotations
 
 import json
+import os
 import struct
 import warnings
 from dataclasses import asdict, dataclass
@@ -40,15 +48,27 @@ IDX_IMAGES_MAGIC = 0x00000803
 IDX_LABELS_MAGIC = 0x00000801
 
 
+def input_array(x) -> np.ndarray:
+    """Input data as it is stored: a bool array stays bool, anything else
+    becomes float.
+
+    Spikes kept as bools take one byte an entry instead of eight. Zeros
+    and ones cast to float exactly, so a consumer that casts a slice gets
+    the same floats as from a float copy of the whole set.
+    """
+    x = np.asarray(x)
+    return x if x.dtype == bool else x.astype(float, copy=False)
+
+
 @dataclass
 class Dataset:
-    inputs: np.ndarray           # (samples, t_steps, channels)
+    inputs: np.ndarray           # (samples, t_steps, channels), bool spikes or float
     labels: np.ndarray           # (samples,) or (samples, t_steps)
     kind: str
     n_classes: int
 
     def __post_init__(self):
-        self.inputs = np.asarray(self.inputs, dtype=float)
+        self.inputs = input_array(self.inputs)
         self.labels = np.asarray(self.labels, dtype=int)
         if self.inputs.ndim != 3:
             raise ValueError("inputs must be (samples, t_steps, channels)")
@@ -118,7 +138,8 @@ def gen_pattern_classification(n_classes: int, t_steps: int, channels: int,
     Cost: one `choice` draw per (class, channel) for the templates, then
     per sample one label draw and one jitter draw for all of its events.
     Sample k draws from default_rng([seed, 1 + k]) alone, and the same
-    arguments give the same arrays as earlier versions of this function.
+    arguments give the same values as earlier versions of this function,
+    now as a bool array.
     """
     if n_classes < 2 or t_steps < 2 or channels < 1 or n_samples < 1:
         raise ValueError("need n_classes >= 2, t_steps >= 2, channels >= 1, "
@@ -126,7 +147,7 @@ def gen_pattern_classification(n_classes: int, t_steps: int, channels: int,
     if jitter_std < 0:
         raise ValueError("jitter_std must be non-negative")
     templates, chans = _pattern_events(n_classes, t_steps, channels, seed, events_mean)
-    inputs = np.zeros((n_samples, t_steps, channels))
+    inputs = np.zeros((n_samples, t_steps, channels), dtype=bool)
     labels = np.zeros(n_samples, dtype=int)
     for k in range(n_samples):
         srng = np.random.default_rng([seed, 1 + k])
@@ -137,7 +158,7 @@ def gen_pattern_classification(n_classes: int, t_steps: int, channels: int,
             times = times + np.rint(
                 srng.normal(0.0, jitter_std, size=times.shape)).astype(int)
             times = np.clip(times, 0, t_steps - 1)
-        inputs[k, times, chans] = 1.0
+        inputs[k, times, chans] = True
     return Dataset(inputs=inputs, labels=labels,
                    kind="sequence-classification", n_classes=n_classes)
 
@@ -146,8 +167,10 @@ def pattern_templates(n_classes: int, t_steps: int, channels: int, seed: int,
                       events_mean: float = 3.0) -> np.ndarray:
     """The jitter-free class rasters behind gen_pattern_classification.
 
-    Returns (n_classes, t_steps, channels); useful as a nearest-template
-    reference classifier.
+    Returns float (n_classes, t_steps, channels); useful as a
+    nearest-template reference classifier. The rasters stay float, unlike
+    the samples, so `samples - templates` is a distance: numpy refuses to
+    subtract one bool array from another.
     """
     times, chans = _pattern_events(n_classes, t_steps, channels, seed, events_mean)
     out = np.zeros((n_classes, t_steps, channels))
@@ -280,7 +303,7 @@ def save_dense_csv(ds: Dataset, path) -> None:
 
 
 def load_event_csv(path) -> Dataset:
-    """Read sample,t,channel,label spike events into a binary dataset.
+    """Read sample,t,channel,label spike events into a bool dataset.
 
     Raises ValueError naming the file and line of a malformed or negative
     event, and of an event whose label differs from its sample's first one.
@@ -318,9 +341,9 @@ def load_event_csv(path) -> Dataset:
     n = ev[:, 0].max() + 1
     t_steps = ev[:, 1].max() + 1
     channels = ev[:, 2].max() + 1
-    inputs = np.zeros((n, t_steps, channels))
+    inputs = np.zeros((n, t_steps, channels), dtype=bool)
     labels = np.zeros(n, dtype=int)
-    inputs[ev[:, 0], ev[:, 1], ev[:, 2]] = 1.0
+    inputs[ev[:, 0], ev[:, 1], ev[:, 2]] = True
     labels[ev[:, 0]] = ev[:, 3]
     return Dataset(inputs=inputs, labels=labels,
                    kind="sequence-classification",
@@ -338,11 +361,28 @@ def save_event_csv(ds: Dataset, path) -> None:
             f.write(f"{s},{t},{ch},{int(ds.labels[s])}\n")
 
 
+def _idx_body(f, path, header_bytes: int, claimed: int) -> bytes:
+    """The `claimed` bytes after an IDX header, read once the file's size
+    is known to match the claim, so a header cannot ask for more memory
+    than the file holds."""
+    end = header_bytes + claimed
+    size = os.fstat(f.fileno()).st_size
+    if size < end:
+        raise ValueError(f"{path}: truncated data: the header claims {claimed} bytes, "
+                         f"the data ends at byte {size} of {end}")
+    if size > end:
+        raise ValueError(f"{path}: {size - end} bytes past the claimed data, "
+                         f"from byte {end}")
+    return f.read(claimed)
+
+
 def load_idx(images_path, labels_path) -> Dataset:
     """Read IDX image/label files into pixel sequences scaled to [0, 1].
 
     Each image becomes a (rows*cols, 1) sequence read row-major, one
-    pixel per step.
+    pixel per step. Each file must hold exactly the bytes its header
+    claims; a shortfall or surplus raises ValueError naming the byte
+    offset, before any data is read.
     """
     with open(images_path, "rb") as f:
         header = f.read(16)
@@ -351,9 +391,7 @@ def load_idx(images_path, labels_path) -> Dataset:
         magic, n, rows, cols = struct.unpack(">IIII", header)
         if magic != IDX_IMAGES_MAGIC:
             raise ValueError(f"{images_path}: bad magic 0x{magic:08x}")
-        raw = f.read(n * rows * cols)
-    if len(raw) != n * rows * cols:
-        raise ValueError(f"{images_path}: truncated data")
+        raw = _idx_body(f, images_path, 16, n * rows * cols)
     images = np.frombuffer(raw, dtype=np.uint8).reshape(n, rows * cols, 1)
     with open(labels_path, "rb") as f:
         header = f.read(8)
@@ -362,9 +400,7 @@ def load_idx(images_path, labels_path) -> Dataset:
         magic, n_labels = struct.unpack(">II", header)
         if magic != IDX_LABELS_MAGIC:
             raise ValueError(f"{labels_path}: bad magic 0x{magic:08x}")
-        raw = f.read(n_labels)
-    if len(raw) != n_labels:
-        raise ValueError(f"{labels_path}: truncated data")
+        raw = _idx_body(f, labels_path, 8, n_labels)
     if n_labels != n:
         raise ValueError(f"image count {n} != label count {n_labels}")
     labels = np.frombuffer(raw, dtype=np.uint8).astype(int)

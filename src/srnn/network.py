@@ -38,9 +38,13 @@ A sequence runs layer-major: each layer runs over all T steps before
 the next starts, writing u and y straight into its trace. A hard-mode
 lif or alif trace keeps its spikes as a bool array (one byte per
 unit-step); relu and soft-mode layers keep a float y, and a readout's y
-is its u. eta is a cheap recurrence over the spikes, so an adaptive
-trace keeps it only at the start of every BLOCK_STEPS-step block of the
-reverse sweep: eta_{t0-1} for t0 = 0, BLOCK_STEPS, 2*BLOCK_STEPS, ...
+is its u. A bool network input (spike data) stays bool in the trace too.
+The products that read bool spikes cast them to float: the projection a
+block of samples at a time (`_project`), a step-by-step product a step
+at a time, and the weight gradient in srnn.training the whole array.
+eta is a cheap recurrence over the spikes, so an adaptive trace keeps it
+only at the start of every BLOCK_STEPS-step block of the reverse sweep:
+eta_{t0-1} for t0 = 0, BLOCK_STEPS, 2*BLOCK_STEPS, ...
 (`LayerTrace.eta_marks`). The sweep replays a block's eta from its mark
 with `Cell.adapt`, the update the forward pass ran, so the replay is bit
 for bit the forward's eta (after Gruslys et al. 2016, "Memory-Efficient
@@ -101,6 +105,7 @@ from typing import Literal, Optional, get_args
 
 import numpy as np
 
+from srnn.datasets import input_array
 from srnn.jsondoc import read
 
 MODEL_FORMAT = "srnn-model/1"
@@ -120,6 +125,9 @@ TAU_MAX_DT = 1e4
 # Time steps per block of the reverse sweep in srnn.training, and the stride
 # of an adaptive trace's eta marks (see the module docstring).
 BLOCK_STEPS = 16
+# `_project` casts bool spikes to float in blocks of whole samples holding
+# at most this many entries (1 MiB), and at least one sample.
+CAST_BLOCK_ENTRIES = 1 << 17
 
 
 @dataclass
@@ -319,7 +327,7 @@ class LayerTrace:
 
 @dataclass
 class ForwardTrace:
-    inputs: np.ndarray               # (T, B, N)
+    inputs: np.ndarray               # (T, B, N), bool spikes or float
     layers: list[LayerTrace]         # one per layer of Network.layers
     merged: np.ndarray               # (T, B, n) every head's input (see forward_sequence)
     soft: bool = False
@@ -535,7 +543,7 @@ def forward_step(net: Network, x_t: np.ndarray, states: list[LayerState],
 
 
 def _as_time_batch(x: np.ndarray) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
+    x = input_array(x)
     if x.ndim == 2:          # (T, N) single sequence
         return x[:, None, :]
     if x.ndim == 3:          # (B, T, N) batch
@@ -547,7 +555,7 @@ def _checked_input(x, width: int) -> np.ndarray:
     x_tbn = _as_time_batch(x)
     if x_tbn.shape[2] != width:
         raise ValueError(f"expected {width} input channels, got {x_tbn.shape[2]}")
-    if not np.all(np.isfinite(x_tbn)):
+    if x_tbn.dtype != bool and not np.all(np.isfinite(x_tbn)):
         raise ValueError("input contains non-finite values")
     return x_tbn
 
@@ -561,10 +569,22 @@ def _project(inp: np.ndarray, w: np.ndarray, out: np.ndarray) -> None:
     time-major y of the layer below. A time-reversed view is flipped
     first, together with `out`. (With OpenBLAS, a single GEMM over all
     T*B rows of a time-major input is no faster and left up to 21 MiB
-    more memory resident at T=250, B=64, n=256.)
+    more memory resident at T=250, B=64, n=256.) Bool spikes, of the
+    network input or of a hard layer below, are cast to float a block of
+    samples at a time (CAST_BLOCK_ENTRIES), into the C-ordered layout
+    matmul would cast the whole array into, so each sample's GEMM reads
+    the same floats and no float copy of a large input is made. (Casting
+    one sample at a time took about 1.7 times as long at quickstart
+    sizes, T=50, B=16.)
     """
     if inp.strides[0] < 0:
         inp, out = inp[::-1], out[::-1]
+    if inp.dtype == bool:
+        step = max(1, CAST_BLOCK_ENTRIES // max(1, inp.shape[0] * inp.shape[2]))
+        for b in range(0, inp.shape[1], step):
+            block = np.ascontiguousarray(inp[:, b:b + step].transpose(1, 0, 2), dtype=float)
+            np.matmul(block, w, out=out[:, b:b + step].transpose(1, 0, 2))
+        return
     np.matmul(inp.transpose(1, 0, 2), w, out=out.transpose(1, 0, 2))
 
 
@@ -627,9 +647,11 @@ def forward_sequence(net: Network, x, soft: bool = False) -> ForwardTrace:
     """Run a full sequence (or batch of sequences) and record the trace.
 
     Accepts (T, N) for one sequence or (B, T, N) for a batch; the trace is
-    always time-major with an explicit batch axis. `merged` is the head's
-    input: the last hidden y (not a copy, so bool spikes in hard mode), the
-    input, or both tops' mean, a float array (bool + bool would be an OR).
+    always time-major with an explicit batch axis. Its `inputs` are bool
+    spikes as given, one byte an entry, or else the input cast to float
+    (see the module docstring). `merged` is the head's input: the last
+    hidden y (not a copy, so bool spikes in hard mode), the input, or both
+    tops' mean, a float array (bool + bool would be an OR).
     """
     x_tbn = _checked_input(x, net.spec.input_size)
     fwd = _run_layers(net.layers[:-1], x_tbn, soft)

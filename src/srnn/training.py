@@ -33,9 +33,9 @@ Only the adjoint recursion and the eta replay run step by step. The
 partials depend on the recorded trace alone and are evaluated for a
 block of BLOCK_STEPS steps at once, and the time-constant sums are
 reduced once per block. The adjoint step writes into three preallocated
-(B, n) buffers, so it allocates nothing. A hard trace's spikes are bool
-arrays, which the sweep casts to float once per block, and once per
-weight-gradient product. Weight
+(B, n) buffers, so it allocates nothing. A hard trace's spikes, and a
+bool network input, are bool arrays, which the sweep casts to float once
+per block, and once per weight-gradient product. Weight
 gradients are each a single GEMM over time x batch: (T*B, fan_in)^T @
 (T*B, n) for the input weights and the same over the shifted outputs for
 the recurrent weights. The gradient passed to the layer below is formed
@@ -60,6 +60,7 @@ from typing import ClassVar, Literal, Optional, Union, get_args
 import numpy as np
 
 from srnn.accounting import ArchDescription, SpikeCounts, synaptic_ops
+from srnn.datasets import input_array
 from srnn.network import (
     BLOCK_STEPS,
     Cell,
@@ -586,13 +587,16 @@ def fit(spec, train_data, config: TrainingConfig, eval_data=None, threads: int =
 
     `spec` may be a NetworkSpec (a fresh network is drawn from its seed) or
     an already-initialized network. `train_data` needs `.inputs` of shape
-    (S, T, N) and `.labels` of shape (S,) or (S, T). The log gains one
+    (S, T, N), bool spikes or floats, and `.labels` of shape (S,) or
+    (S, T). Bool inputs are never copied to float whole: each job slices
+    its chunk, and the products that read it cast it to float (see
+    srnn.network). The log gains one
     train row per epoch, plus an eval row when eval_data is given.
     Raises FloatingPointError as soon as an Adam step leaves a parameter
     non-finite, and when an epoch's mean loss is not finite.
     """
     net = init_network(spec) if isinstance(spec, NetworkSpec) else spec
-    inputs = np.asarray(train_data.inputs, dtype=float)
+    inputs = input_array(train_data.inputs)
     labels = np.asarray(train_data.labels)
     check_loss(config.loss, labels)
     n = inputs.shape[0]
@@ -681,9 +685,10 @@ def evaluate(net, data, chunk_size: int = 64) -> EvalReport:
     Step predictions are the argmax of `step_probs`: the running spike
     count's softmax or each step's membrane softmax. A sequence label
     applies to every step of the anytime count; per-step labels are
-    compared step by step.
+    compared step by step. `data.inputs` may hold bool spikes or floats;
+    bool chunks stay bool, as in `fit`.
     """
-    inputs = np.asarray(data.inputs, dtype=float)
+    inputs = input_array(data.inputs)
     labels = np.asarray(data.labels)
     n, t_steps = inputs.shape[:2]
     decode = net.spec.decode

@@ -1,5 +1,6 @@
 """End-to-end tests for the command-line interface."""
 
+import dataclasses
 import hashlib
 import json
 import math
@@ -330,6 +331,15 @@ def test_gen_writes_the_pinned_bytes(tmp_path, capsys, name):
     written = {f"{d.name}/{f.name}": hashlib.sha256(f.read_bytes()).hexdigest()
                for d in (tmp_path / "sets").iterdir() for f in d.iterdir()}
     assert written == GEN_DIGESTS["sha256"][name]
+
+
+def test_zscore_of_an_encoded_set_equals_that_of_its_float_copy():
+    wave = srnn.gen_streaming_waveform(3, 10, 2, 0.02, seed=4, n_samples=6)
+    enc = srnn.encode_dataset(wave, 0.05, 0.05)
+    assert enc.inputs.dtype == bool
+    z = srnn.cli._zscore(enc)
+    ref = srnn.cli._zscore(dataclasses.replace(enc, inputs=enc.inputs.astype(float)))
+    assert z.inputs.dtype == float and z.inputs.tobytes() == ref.inputs.tobytes()
 
 
 def test_train_from_files_task(tmp_path):

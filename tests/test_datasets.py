@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from srnn.codecs import encode_dataset, level_crossing_encode
 from srnn.datasets import (
     Dataset,
     gen_pattern_classification,
@@ -398,6 +399,69 @@ def test_idx_loader_errors(tmp_path):
     lp3.write_bytes(struct.pack(">II", 0x00000801, 3) + bytes(3))
     with pytest.raises(ValueError, match="count"):
         load_idx(ip, lp3)
+
+
+def test_idx_header_claims_are_checked_before_reading(tmp_path):
+    images = np.zeros((2, 3, 3), dtype=np.uint8)
+    labels = np.zeros(2, dtype=np.uint8)
+    ip, lp = _write_idx(tmp_path, images, labels)
+    # 2^31 images of 2^15 x 2^15 pixels: 2^61 bytes claimed by 16
+    huge = tmp_path / "huge.idx"
+    huge.write_bytes(struct.pack(">IIII", 0x00000803, 2**31, 2**15, 2**15))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=r"huge\.idx: truncated data: .* "
+                                             r"ends at byte 16 of 2305843009213693968"):
+            load_idx(huge, lp)
+        assert tracemalloc.get_traced_memory()[1] < 1 << 20
+    finally:
+        tracemalloc.stop()
+
+    cut = tmp_path / "cut.idx"
+    cut.write_bytes(struct.pack(">II", 0x00000801, 2) + bytes(1))
+    with pytest.raises(ValueError, match=r"cut\.idx: truncated data: .* ends at byte 9 of 10"):
+        load_idx(ip, cut)
+
+    # bytes past the claim fail too
+    long = tmp_path / "long.idx"
+    long.write_bytes(ip.read_bytes() + bytes(3))
+    with pytest.raises(ValueError, match=r"long\.idx: 3 bytes past the claimed data, "
+                                         r"from byte 34"):
+        load_idx(long, lp)
+    long.write_bytes(lp.read_bytes() + bytes(1))
+    with pytest.raises(ValueError, match=r"long\.idx: 1 bytes past the claimed data, "
+                                         r"from byte 10"):
+        load_idx(ip, long)
+
+
+def test_spike_data_is_bool_and_analog_data_float(tmp_path):
+    pattern = gen_pattern_classification(3, 15, 6, 1.0, seed=12, n_samples=20)
+    save_event_csv(pattern, tmp_path / "events.csv")
+    events = load_event_csv(tmp_path / "events.csv")
+    wave = gen_streaming_waveform(3, 10, 2, 0.05, seed=0, n_samples=6)
+    encoded = encode_dataset(wave, 0.05, 0.05)
+    for ds in (pattern, events, encoded):
+        assert ds.inputs.dtype == bool
+        assert all(part.inputs.dtype == bool
+                   for part in (ds.subset([1, 0]), *split(ds, seed=3)))
+    assert np.array_equal(events.inputs, pattern.inputs)
+    assert level_crossing_encode(wave.inputs[0]).data.dtype == bool
+
+    save_dense_csv(wave, tmp_path / "wave.csv")
+    ip, lp = _write_idx(tmp_path, np.zeros((2, 3, 3)), np.zeros(2))
+    analog = (wave, load_dense_csv(tmp_path / "wave.csv", 20, 1), load_idx(ip, lp),
+              Dataset(inputs=np.ones((2, 4, 3), dtype=int), labels=np.zeros(2, dtype=int),
+                      kind="sequence-classification", n_classes=1))
+    for ds in analog:
+        assert ds.inputs.dtype == float
+    assert pattern_templates(3, 15, 6, seed=12).dtype == float
+
+    # a bool set writes the bytes of its float copy
+    as_float = Dataset(inputs=pattern.inputs.astype(float), labels=pattern.labels,
+                       kind=pattern.kind, n_classes=pattern.n_classes)
+    save_dense_csv(pattern, tmp_path / "bool.csv")
+    save_dense_csv(as_float, tmp_path / "float.csv")
+    assert (tmp_path / "bool.csv").read_bytes() == (tmp_path / "float.csv").read_bytes()
 
 
 def test_dataset_directory_round_trip(tmp_path):

@@ -11,6 +11,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+import srnn.network
 from srnn.accounting import SpikeCounts, firing_rate
 from srnn.datasets import gen_pattern_classification
 from srnn.network import (
@@ -675,6 +676,35 @@ def test_bool_spikes_read_as_numbers():
                     backward(net, as_float, labels, MultiGaussian()).layers, strict=True):
         for k, g in a.items():
             np.testing.assert_array_equal(g, b[k], err_msg=k)
+
+
+@pytest.mark.parametrize("layout", ["input", "reversed-input", "hidden"])
+def test_bool_projection_casts_in_blocks_of_samples(layout, monkeypatch):
+    # a network input is the swapped axes of a (B, T, N) array, a hidden
+    # layer's spikes are time-major; every block size gives the floats of
+    # one whole cast, which for an input are those of its float copy
+    rng = np.random.default_rng(4)
+    t_steps, batch, width = 9, 5, 4
+    if layout == "hidden":
+        x = rng.random((t_steps, batch, width)) < 0.4
+    else:
+        x = np.swapaxes(rng.random((batch, t_steps, width)) < 0.4, 0, 1)
+    if layout == "reversed-input":
+        x = x[::-1]
+    w = rng.standard_normal((width, 3))
+
+    def project(inp, entries):
+        monkeypatch.setattr(srnn.network, "CAST_BLOCK_ENTRIES", entries)
+        out = np.empty((t_steps, batch, 3))
+        srnn.network._project(inp, w, out)
+        return out.tobytes()
+
+    whole = np.empty((t_steps, batch, 3))
+    np.matmul(x.transpose(1, 0, 2), w, out=whole.transpose(1, 0, 2))
+    if layout != "hidden":
+        assert project(x.astype(float), 1) == whole.tobytes()
+    for entries in (1, 2 * t_steps * width, 10**6):
+        assert project(x, entries) == whole.tobytes()
 
 
 def test_bidirectional_palindrome_symmetry():

@@ -2,17 +2,29 @@
 
 import copy
 import math
+import tracemalloc
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from srnn.codecs import encode_dataset
+from srnn.datasets import (
+    gen_pattern_classification,
+    gen_streaming_waveform,
+    load_event_csv,
+    save_event_csv,
+)
 from srnn.gradcheck import tape_gradients
 from srnn.network import (
     LayerSpec,
     NetworkSpec,
     forward_sequence,
+    forward_step,
     init_network,
+    init_state,
+    save_model,
 )
 from srnn.surrogates import Gaussian, MultiGaussian
 from srnn.training import (
@@ -434,6 +446,96 @@ def test_training_reduces_loss_on_learnable_task():
     net, log = fit(small_spec(), data,
                    TrainingConfig(epochs=12, lr=2e-2, minibatch=8, seed=1))
     assert log.rows[-1]["loss"] < 0.7 * log.rows[0]["loss"]
+
+
+def _spike_task(name, tmp_path):
+    """A bool dataset, a network spec that reads it and the loss; the stacks
+    cover every way a product reads the input: a hoisted spiking layer, a
+    step-by-step relu layer, a head that reads the input itself, and a
+    back stack that reads it time-reversed."""
+    alif = dict(neuron="alif", recurrent=True, tau_m_init=(6.0, 1.0),
+                tau_adp_init=(30.0, 4.0), b_0=0.05, beta=0.6)
+    head = LayerSpec(size=3, neuron="readout", tau_m_init=(5.0, 1.0))
+    if name == "encoded-streaming":
+        wave = gen_streaming_waveform(3, 12, 3, 0.01, seed=2, n_samples=24)
+        ds = encode_dataset(wave, 0.02, 0.02)
+        return ds, NetworkSpec(input_size=2, layers=[head], decode="membrane_softmax",
+                               seed=3), "nll_streaming"
+    ds = gen_pattern_classification(3, 30, 12, 1.0, seed=4, n_samples=40)
+    if name == "event-csv":
+        save_event_csv(ds, tmp_path / "events.csv")
+        ds = load_event_csv(tmp_path / "events.csv")
+        layers = [LayerSpec(size=10, neuron="relu", recurrent=True), head]
+        return ds, NetworkSpec(input_size=12, layers=layers, decode="membrane_softmax",
+                               seed=3), "ce"
+    if name == "pattern-bidirectional":
+        return ds, NetworkSpec(input_size=12, layers=[LayerSpec(size=10, **alif), head],
+                               decode="membrane_softmax", seed=3, bidirectional=True), "ce"
+    layers = [LayerSpec(size=10, **alif), LayerSpec(size=3, **dict(alif, recurrent=False))]
+    return ds, NetworkSpec(input_size=12, layers=layers, decode="spike_count", seed=3), "ce"
+
+
+@pytest.mark.parametrize("name", ["pattern", "pattern-bidirectional", "event-csv",
+                                  "encoded-streaming"])
+def test_bool_inputs_train_and_score_like_their_float_copy(name, tmp_path):
+    # a bool input is cast to float in blocks of samples, its float copy is
+    # read as it is: every output must be the same bytes
+    ds, spec, loss = _spike_task(name, tmp_path)
+    assert ds.inputs.dtype == bool
+    as_float = replace(ds, inputs=ds.inputs.astype(float))
+    assert as_float.inputs.dtype == float
+
+    def outputs(data, tag):
+        out = []
+        for threads in (1, 2):
+            cfg = TrainingConfig(epochs=2, minibatch=8, chunk_size=3, loss=loss, seed=1)
+            net, log = fit(spec, data, cfg, threads=threads)
+            save_model(net, tmp_path / f"{tag}{threads}.json")
+            out += [(tmp_path / f"{tag}{threads}.json").read_bytes(), log.to_csv_text()]
+        rep = evaluate(net, data, chunk_size=7)
+        if spec.layers[0].neuron == "alif":
+            assert rep.firing_rate > 0.0
+        out += [rep.loss.hex(), rep.accuracy, rep.firing_rate, rep.input_events,
+                rep.anytime_correct.tolist(), rep.spikes.sample_steps,
+                [None if c is None else c.tolist() for c in rep.spikes.per_neuron],
+                None if rep.step_predictions is None else rep.step_predictions.tolist()]
+        soft = forward_sequence(net, data.inputs[:5], soft=True)
+        out += [lt.u.tobytes() for lt in soft.all_layers]
+        if not spec.bidirectional:
+            x = data.inputs[:2]
+            states = init_state(net, batch=2)
+            steps = []
+            for t in range(data.t_steps):
+                states, o = forward_step(net, x[:, t], states)
+                steps.append(o[-1])
+            assert np.array_equal(steps, forward_sequence(net, x).layers[-1].y)
+            out.append(np.array(steps, dtype=float).tobytes())
+        return out
+
+    assert outputs(ds, "bool") == outputs(as_float, "float")
+
+
+def test_fit_and_evaluate_make_no_float_copy_of_a_bool_set():
+    # 64 x 200 x 100 spikes: 1.28 MB as bools, 10.24 MB as floats; neither
+    # fit nor evaluate may hold a float copy of the whole set
+    ds = gen_pattern_classification(4, 200, 100, 1.0, seed=2, n_samples=64)
+    assert ds.inputs.dtype == bool
+    whole_float = ds.inputs.size * 8
+    spec = NetworkSpec(input_size=100, layers=[
+        LayerSpec(size=8, neuron="alif", recurrent=True, b_0=0.05, beta=0.6),
+        LayerSpec(size=4, neuron="readout")], decode="membrane_softmax", seed=0)
+    net = init_network(spec)
+    peaks = []
+    tracemalloc.start()
+    try:
+        fit(net, ds, TrainingConfig(epochs=1, minibatch=32, chunk_size=16, seed=0))
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        tracemalloc.reset_peak()
+        evaluate(net, ds, chunk_size=16)
+        peaks.append(tracemalloc.get_traced_memory()[1])
+    finally:
+        tracemalloc.stop()
+    assert max(peaks) < whole_float, (peaks, whole_float)
 
 
 def test_training_config_validation():
