@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import logging
 import os
 import sys
@@ -27,7 +26,7 @@ from srnn.codecs import anytime_csv_text, encode_dataset
 from srnn.datasets import gen_pattern_classification, gen_streaming_waveform, \
     load_dataset, save_dataset, split
 from srnn.gradcheck import CheckMode, grad_check
-from srnn.jsondoc import SchemaError, read
+from srnn.jsondoc import load, read
 from srnn.network import NetworkSpec, init_network, load_model, save_model
 from srnn.training import TrainingConfig, check_loss, evaluate, fit
 
@@ -132,13 +131,8 @@ def _read_file(tp, path, what: str):
     if not os.path.exists(path):
         raise UsageError(f"{what} not found: {path}")
     try:
-        with open(path) as f:
-            doc = json.load(f)
-    except ValueError as e:  # JSONDecodeError, or bytes that are not UTF-8
-        raise UsageError(f"{path}: invalid JSON: {e}") from None
-    try:
-        return read(tp, doc)
-    except SchemaError as e:
+        return read(tp, load(path))
+    except ValueError as e:  # not JSON (jsondoc.load), or a SchemaError
         raise UsageError(f"{path}: {e}") from None
 
 
@@ -376,10 +370,12 @@ def cmd_gradcheck(args) -> int:
             print(f"{mode}: no usable sample found")
             ok = False
             continue
-        passed = (report.max_rel_err < check.tol_rel if mode == "relu_exact"
+        passed = (report.max_scored_rel_err < check.tol_rel if mode == "relu_exact"
                   else report.max_abs_err < check.tol_abs)
         ok = ok and passed
-        noise = "" if report.fd_noise is None else f"fd noise {report.fd_noise:.3e}  "
+        noise = "" if report.fd_noise is None else (
+            f"fd noise {report.fd_noise:.3e}  "
+            f"scored rel err {report.max_scored_rel_err:.3e}  ")
         print(f"{mode}: max rel err {report.max_rel_err:.3e}  "
               f"max abs err {report.max_abs_err:.3e}  {noise}"
               f"params checked {report.checked}  "

@@ -38,7 +38,7 @@ from typing import Literal, get_args
 
 import numpy as np
 
-from srnn.jsondoc import read
+from srnn.jsondoc import load, read
 
 DatasetKind = Literal["sequence-classification", "streaming"]
 DATASET_KINDS = get_args(DatasetKind)
@@ -463,12 +463,12 @@ def save_dataset(ds: Dataset, out_dir) -> None:
 def load_dataset(in_dir) -> Dataset:
     """Read a dataset directory written by save_dataset.
 
-    A manifest of another format raises ValueError naming that format; a
-    manifest that does not fit `Manifest` raises srnn.jsondoc.SchemaError.
+    A manifest that is not JSON raises ValueError (srnn.jsondoc.load), one
+    of another format raises ValueError naming that format, and one that
+    does not fit `Manifest` raises srnn.jsondoc.SchemaError.
     """
     path = Path(in_dir) / "manifest.json"
-    with open(path) as f:
-        doc = json.load(f)
+    doc = load(path)
     if isinstance(doc, dict) and doc.get("format") != MANIFEST_FORMAT:
         raise ValueError(f"unsupported dataset format: {doc.get('format')!r}")
     manifest = read(Manifest, doc)

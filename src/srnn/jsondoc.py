@@ -13,11 +13,17 @@ names the member by the member's `kind` class attribute.
 Values are kept as decoded (an integer given for a float stays one), so a
 document read and written back with dataclasses.asdict keeps its bytes.
 A ValueError from __post_init__ is reported at the object's path.
+
+`load` is the one way the package decodes a JSON file (configs,
+architecture files, model files, dataset manifests), so a file that is
+not JSON fails the same way everywhere.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
+import json
 import math
 import sys
 from typing import Literal, Union, get_args, get_origin, get_type_hints
@@ -30,6 +36,20 @@ class SchemaError(ValueError):
         super().__init__(f"schema violation at {path or '(top level)'}: {why}")
 
 
+def load(path):
+    """Decode the JSON file at `path`; raise ValueError if it is not JSON.
+
+    Bad syntax, bytes that do not decode, an integer too long to parse and
+    nesting deeper than the decoder's recursion limit all end here as a
+    ValueError "invalid JSON: ...".
+    """
+    try:
+        with open(path) as f:
+            return json.load(f)
+    except (ValueError, RecursionError) as e:
+        raise ValueError(f"invalid JSON: {e}") from None
+
+
 def read(tp, doc, path: str = "", complete: bool = False):
     """Build a `tp` (a dataclass or a tagged union of them) from decoded JSON.
 
@@ -38,6 +58,10 @@ def read(tp, doc, path: str = "", complete: bool = False):
     """
     return _read(tp, doc, path, "", complete)
 
+
+# a dataclass's resolved annotations; resolving them costs more than
+# reading a small document
+_type_hints = functools.cache(get_type_hints)
 
 _SCALARS = {
     int: ("an integer", lambda v: type(v) is int),
@@ -88,7 +112,7 @@ def _read(tp, v, path: str, name: str, complete: bool):
     for key in v:
         if key not in fields:
             raise SchemaError(path, f"unknown key {key!r}")
-    hints = get_type_hints(tp)
+    hints = _type_hints(tp)
     kwargs = {}
     for key, f in fields.items():
         if key in v:

@@ -95,18 +95,31 @@ and readout layers always take the dense product: their output is the
 membrane, which must match forward_sequence bit for bit, while a spike
 absorbs the last-bit difference of a sum taken over fewer terms, as it
 absorbs the GEMV/GEMM difference above.
+
+A model file (format srnn-model/1) is JSON: the spec, and each layer's
+spec and arrays as nested lists. `save_model` writes exactly the bytes
+json.dump(doc, f, indent=1, sort_keys=True) gives for that document, and
+the files in tests/data pin them; but it streams them one array row at a
+time through json's C encoder (`_write_json`), since json.dump with an
+indent runs the pure-Python encoder over every float. What is left of a
+save is float.__repr__, the floor for this text format. `load_model`
+parses with json's C decoder and checks every array entry (a number, not
+a bool; an integer within float range; rows of one length) and every
+shape against the spec.
 """
 
 from __future__ import annotations
 
 import json
+import sys
+from itertools import chain
 from dataclasses import asdict, dataclass, field, fields, replace
 from typing import Literal, Optional, get_args
 
 import numpy as np
 
 from srnn.datasets import input_array
-from srnn.jsondoc import read
+from srnn.jsondoc import load, read
 
 MODEL_FORMAT = "srnn-model/1"
 
@@ -663,16 +676,37 @@ def forward_sequence(net: Network, x, soft: bool = False) -> ForwardTrace:
     return ForwardTrace(inputs=x_tbn, layers=fwd + head, merged=merged, soft=soft, back=back)
 
 
-def _layer_to_dict(layer: Layer) -> dict:
-    arrays = {f.name: getattr(layer, f.name) for f in fields(Layer) if f.name != "spec"}
-    return {"spec": asdict(layer.spec),
-            **{k: None if a is None else a.tolist() for k, a in arrays.items()}}
+def _array_entry(v, where: str) -> np.ndarray:
+    """A model-file array: a number, a row of numbers or equal rows of them.
+
+    Raises ValueError naming `where` (layer and field) for an entry that is
+    not a JSON number (a string, a bool, null, a list in a row), an integer
+    beyond float range, rows of unequal length or nesting past two levels.
+    """
+    depth, probe = 0, v
+    while type(probe) is list:
+        depth += 1
+        probe = probe[0] if probe else None
+    if depth > 2:
+        raise ValueError(f"{where}: nested {depth} lists deep, expected rows of numbers")
+    rows = v if depth == 2 else [v] if depth else [[v]]
+    if depth == 2 and any(type(r) is not list or len(r) != len(v[0]) for r in v):
+        raise ValueError(f"{where}: ragged rows")
+    if not set(map(type, chain.from_iterable(rows))) <= {float}:
+        for x in chain.from_iterable(rows):
+            if type(x) not in (float, int):
+                raise ValueError(f"{where}: expected numbers, got {x!r}")
+            if type(x) is int and abs(x) > sys.float_info.max:
+                raise ValueError(f"{where}: an integer beyond float range")
+    return np.array(v, dtype=float)
 
 
-def _layer_from_dict(d: dict, path: str) -> Layer:
-    arrays = {f.name: None if d[f.name] is None else np.asarray(d[f.name], dtype=float)
+def _layer_from_dict(d: dict, stack: str, i: int) -> Layer:
+    arrays = {f.name: None if d[f.name] is None
+              else _array_entry(d[f.name], f"{stack}[{i}].{f.name}")
               for f in fields(Layer) if f.name != "spec"}
-    return Layer(spec=read(LayerSpec, d["spec"], f"{path}/spec", complete=True), **arrays)
+    return Layer(spec=read(LayerSpec, d["spec"], f"{stack}/{i}/spec", complete=True),
+                 **arrays)
 
 
 def _stack_keys(spec: NetworkSpec) -> tuple[str, Optional[str]]:
@@ -680,15 +714,50 @@ def _stack_keys(spec: NetworkSpec) -> tuple[str, Optional[str]]:
     return ("forward_layers", "backward_layers") if spec.bidirectional else ("layers", None)
 
 
+def _write_json(f, v, level: int = 0) -> None:
+    """Write `v` to `f` as json.dump(v, f, indent=1, sort_keys=True) would.
+
+    `v` is a document of dicts, lists and scalars whose arrays may also be
+    numpy arrays. The text goes out piece by piece: each 1-d array, an
+    innermost row, is formed by json's C encoder in one call, with an item
+    separator that carries the row's newline and padding, so its floats get
+    json's own text (float.__repr__, NaN) and nothing larger than one row's
+    text is held at a time.
+    """
+    pad, end = "\n" + " " * (level + 1), "\n" + " " * level
+    if isinstance(v, np.ndarray) and v.ndim == 1 and len(v):
+        row = json.dumps(v.tolist(), separators=("," + pad, ": "))
+        f.write("[" + pad + row[1:-1] + end + "]")
+    elif isinstance(v, dict) and v:
+        for k, key in enumerate(sorted(v)):
+            f.write(("," if k else "{") + pad + json.dumps(key) + ": ")
+            _write_json(f, v[key], level + 1)
+        f.write(end + "}")
+    elif isinstance(v, (list, tuple, np.ndarray)) and len(v):
+        for k, x in enumerate(v):
+            f.write(("," if k else "[") + pad)
+            _write_json(f, x, level + 1)
+        f.write(end + "]")
+    else:  # a scalar or an empty container
+        f.write(json.dumps(v.tolist() if isinstance(v, np.ndarray) else v))
+
+
 def save_model(net: Network, path) -> None:
-    """Write a network to a JSON model file (format srnn-model/1)."""
+    """Write a network to a JSON model file (format srnn-model/1).
+
+    The file holds the bytes json.dump(doc, f, indent=1, sort_keys=True)
+    gives for the model document (every array as nested lists), and the
+    files in tests/data pin them. `_write_json` streams them one array row
+    at a time, through json's C encoder, instead of converting the whole
+    document to lists and running json's pure-Python indenting encoder.
+    """
     front, back = _stack_keys(net.spec)
     doc = {"format": MODEL_FORMAT, "spec": asdict(net.spec),
-           front: [_layer_to_dict(l) for l in net.layers]}
+           front: [dict(vars(l), spec=asdict(l.spec)) for l in net.layers]}
     if back:
-        doc[back] = [_layer_to_dict(l) for l in net.back]
+        doc[back] = [dict(vars(l), spec=asdict(l.spec)) for l in net.back]
     with open(path, "w") as f:
-        json.dump(doc, f, indent=1, sort_keys=True)
+        _write_json(f, doc)
         f.write("\n")
 
 
@@ -731,8 +800,7 @@ def load_model(path) -> Network:
     the spec (its shape, presence, finiteness, or a time constant outside
     [dt, TAU_MAX_DT * dt]) by its layer and field.
     """
-    with open(path) as f:
-        doc = json.load(f)
+    doc = load(path)
     if not isinstance(doc, dict):
         raise ValueError("model file is not a JSON object")
     if doc.get("format") != MODEL_FORMAT:
@@ -740,11 +808,11 @@ def load_model(path) -> Network:
     try:
         spec = read(NetworkSpec, doc["spec"], "spec", complete=True)
         front, back = _stack_keys(spec)
-        net = Network(spec=spec, layers=[_layer_from_dict(d, f"{front}/{i}")
+        net = Network(spec=spec, layers=[_layer_from_dict(d, front, i)
                                          for i, d in enumerate(doc[front])])
         _check_stack(net.layers, spec.layers, spec.input_size, front)
         if back:
-            net.back = [_layer_from_dict(d, f"{back}/{i}") for i, d in enumerate(doc[back])]
+            net.back = [_layer_from_dict(d, back, i) for i, d in enumerate(doc[back])]
             _check_stack(net.back, spec.layers[:-1], spec.input_size, back)
     except KeyError as e:
         raise ValueError(f"model file lacks key {e.args[0]!r}") from None

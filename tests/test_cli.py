@@ -15,8 +15,8 @@ import pytest
 import srnn
 import srnn.cli
 from srnn.cli import main
-from srnn.datasets import load_dataset
-from srnn.network import LayerSpec, NetworkSpec, init_network, save_model
+from srnn.datasets import Dataset, load_dataset, save_dataset
+from srnn.network import LayerSpec, NetworkSpec, init_network, load_model, save_model
 
 
 def write_config(path, doc):
@@ -461,6 +461,9 @@ def test_malformed_model_files_exit_2(tmp_path, capsys):
                              "layers[1].w_rec: expected null"),
         "alias.json": (json.dumps(aliased), "neuron must be one of"),
         "undecoded.json": (json.dumps(undecoded), "missing key 'decode'"),
+        "deep.json": ("[" * 100000 + "]" * 100000, "invalid JSON: maximum recursion"),
+        "huge_bias.json": (edited((1, "bias", [10**400, 0.0])),
+                           "layers[1].bias: an integer beyond float range"),
     }
     for name, (text, why) in cases.items():
         path = tmp_path / name
@@ -523,6 +526,20 @@ def test_gradcheck_reports_failure(tmp_path, capsys):
         "modes": ["relu_exact"], "t_steps": 8, "tol_rel": 1e-18})
     assert main(["gradcheck", "--config", cfg]) == 1
     assert "FAIL" in capsys.readouterr().out
+
+
+def test_gradcheck_verdict_reads_the_score_that_allows_for_fd_noise(
+        tmp_path, monkeypatch, capsys):
+    # the verdict bounds max_scored_rel_err, the relative error that allows
+    # for fd_noise, so a max_rel_err above tol_rel alone does not fail
+    cfg = gradcheck_config(tmp_path, "gcn", {"modes": ["relu_exact"], "t_steps": 8})
+    real = srnn.cli.grad_check
+    for scored, code, verdict in ((5e-5, 0, "pass"), (2e-4, 1, "FAIL")):
+        monkeypatch.setattr(srnn.cli, "grad_check", lambda *a, **kw: dataclasses.replace(
+            real(*a, **kw), max_rel_err=4e-4, max_scored_rel_err=scored))
+        assert main(["gradcheck", "--config", cfg]) == code
+        out = capsys.readouterr().out
+        assert f"scored rel err {scored:.3e}" in out and out.strip().endswith(verdict)
 
 
 def test_log_level_validation(tmp_path, monkeypatch, capsys):
@@ -717,3 +734,89 @@ def test_cli_imports_without_jsonschema():
     done = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, timeout=120, env=env)
     assert done.returncode == 0, done.stderr
+
+
+# The values each leaf of a document takes in the boundary fuzz.
+FUZZ_VALUES = [0, -1, 1, 2**31, 10**6, 1e300, -1e300, 1e-300, 0.5, -0.5, True, "x", None,
+               [], [1, -1], [0, 0], [1e300, 1]]
+
+
+def _leaf_paths(doc, path=()):
+    """Paths to every scalar, and every empty list, in decoded JSON."""
+    if isinstance(doc, dict) or (isinstance(doc, list) and doc):
+        for key, v in (doc.items() if isinstance(doc, dict) else enumerate(doc)):
+            yield from _leaf_paths(v, path + (key,))
+    else:
+        yield path
+
+
+def _with(doc, *edits):
+    """A copy of decoded JSON with each (path, value) edit applied."""
+    doc = json.loads(json.dumps(doc))
+    for path, value in edits:
+        target = doc
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+    return doc
+
+
+def test_model_file_fuzz_loads_or_exits_2(tmp_path, capsys):
+    # every fuzz value on every leaf of a tiny model file, then 60 seeded
+    # pairs of such edits: load_model loads or raises ValueError, and
+    # `srnn eval` exits 0, or 2 with one line
+    save_model(init_network(NetworkSpec(
+        input_size=2, layers=[LayerSpec(size=2, neuron="alif", recurrent=True),
+                              LayerSpec(size=2, neuron="readout")],
+        decode="membrane_softmax", seed=3)), tmp_path / "good.json")
+    good = json.loads((tmp_path / "good.json").read_text())
+    rng = np.random.default_rng(8)
+    save_dataset(Dataset(rng.random((3, 5, 2)) < 0.4, [0, 1, 1], "sequence-classification", 2),
+                 tmp_path / "data")
+    leaves = list(_leaf_paths(good))
+    edits = [(path, v) for path in leaves for v in FUZZ_VALUES]
+    docs = [_with(good, e) for e in edits]
+    docs += [_with(good, *(edits[i] for i in rng.choice(len(edits), 2, replace=False)))
+             for _ in range(60)]
+    texts = [json.dumps(doc) for doc in docs]
+    texts.append(json.dumps(_with(good, (("layers", 0, "bias", 0), 10**400))))
+    texts.append("[" * 100000 + "]" * 100000)
+    model = tmp_path / "model.json"
+    argv = ["eval", "--model", str(model), "--data", str(tmp_path / "data"),
+            "--out", str(tmp_path / "eval")]
+    loaded = 0
+    for text in texts:
+        model.write_text(text)
+        try:
+            load_model(model)
+            loaded += 1
+        except ValueError:
+            pass
+        capsys.readouterr()
+        code = main(argv)
+        err = capsys.readouterr().err.strip().splitlines()
+        assert code == 0 or (code == 2 and len(err) == 1), (text[:300], code, err)
+    assert len(leaves) > 80 and 0 < loaded < len(texts)
+
+
+def test_json_files_nested_too_deep_exit_2(tmp_path, capsys):
+    # past the decoder's recursion limit, in a config, an architecture file
+    # and a dataset manifest (model files are in test_malformed_model_files_exit_2)
+    deep = "[" * 100000 + "]" * 100000
+    (tmp_path / "deep.json").write_text(deep)
+    (tmp_path / "deep_set").mkdir()
+    (tmp_path / "deep_set" / "manifest.json").write_text(deep)
+    model = tmp_path / "model.json"
+    save_model(init_network(NetworkSpec(input_size=3, layers=[LayerSpec(size=2)])), model)
+    for argv, why in [
+            (["train", "--config", str(tmp_path / "deep.json")], "deep.json: invalid JSON"),
+            (["gradcheck", "--config", str(tmp_path / "deep.json")],
+             "deep.json: invalid JSON"),
+            (["energy", "--arch", str(tmp_path / "deep.json"), "--fr", "0.1"],
+             "deep.json: invalid JSON"),
+            (["eval", "--model", str(model), "--data", str(tmp_path / "deep_set")],
+             "bad dataset: invalid JSON")]:
+        capsys.readouterr()
+        assert main(argv) == 2, argv
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and why in err[0], err

@@ -9,6 +9,7 @@ node in the hard spiking mode.
 import numpy as np
 import pytest
 
+import srnn.gradcheck
 from srnn.gradcheck import _kink_margin, grad_check, tape_gradients
 from srnn.network import (
     LayerSpec,
@@ -306,3 +307,30 @@ def test_unknown_mode_is_rejected():
     net = init_network(spiking_spec(0), 0)
     with pytest.raises(ValueError):
         grad_check(net, np.zeros((1, 5, 4)), np.array([0]), mode="exhaustive")
+
+
+def test_fd_verdict_allows_for_the_noise_of_a_large_summed_loss():
+    # At 60 steps and 4 samples the summed loss is ~260 nats. Correct
+    # gradients read a max rel err of 4e-4, above the 1e-4 bound, all of it
+    # within a few fd_noise; the score that allows for fd_noise passes them
+    # and still sees a 1e-3 relative error put into one gradient family.
+    net = init_network(bidirectional_spec(0, "alif"), 0)
+    rng = np.random.default_rng([0, 0])
+    x = rng.standard_normal((4, 60, 4))
+    labels = rng.integers(0, 3, size=4)
+    report = grad_check(net, x, labels, mode="relu_exact")
+    assert report.kink_margin > 1e-4 and report.loss > 250
+    assert report.max_rel_err > 1e-4
+    assert report.max_abs_err < 4 * report.fd_noise
+    assert report.max_scored_rel_err < 1e-4
+
+    def skewed(*args, **kw):
+        grads = backward(*args, **kw)
+        grads.layers[0]["w_rec"] *= 1.0 + 1e-3
+        return grads
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(srnn.gradcheck, "backward", skewed)
+        bad = grad_check(net, x, labels, mode="relu_exact")
+    assert 5e-4 < bad.families["w_rec"].max_scored_rel_err < 2e-3
+    assert bad.families["w_in"].max_scored_rel_err < 1e-4

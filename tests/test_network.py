@@ -1,10 +1,11 @@
 """Unit tests for network construction, the forward pass, and model files."""
 
 import copy
+import io
 import json
 import math
 import re
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -811,6 +812,57 @@ def test_model_files_keep_their_format(name, tmp_path):
         np.testing.assert_array_equal(a.u_init, b.u_init)
 
 
+def _list_form(net):
+    """A network's model document with every array as nested lists."""
+    def layer(l):
+        return {"spec": asdict(l.spec), **{k: None if a is None else a.tolist()
+                                           for k, a in vars(l).items() if k != "spec"}}
+    front, back = ("forward_layers", "backward_layers") if net.spec.bidirectional \
+        else ("layers", None)
+    doc = {"format": "srnn-model/1", "spec": asdict(net.spec),
+           front: [layer(l) for l in net.layers]}
+    if back:
+        doc[back] = [layer(l) for l in net.back]
+    return doc
+
+
+def test_model_writer_emits_the_bytes_of_json_dump(tmp_path):
+    # save_model streams its own text; json.dump(indent=1, sort_keys=True)
+    # of the list form is the reference it must match byte for byte
+    spiking = dict(recurrent=True, tau_m_init=(8.0, 2.0), b_0=0.4, beta=0.9)
+    specs = {
+        "alif": small_spec(),
+        "lif": small_spec(layers=[LayerSpec(size=4, neuron="lif", **spiking),
+                                  LayerSpec(size=2, neuron="lif")]),
+        "relu": small_spec(layers=[LayerSpec(size=4, neuron="relu", recurrent=True),
+                                   LayerSpec(size=3, neuron="readout")],
+                           decode="membrane_softmax"),
+        "head-only": small_spec(layers=[LayerSpec(size=2, neuron="readout")],
+                                decode="membrane_softmax"),
+        "bidirectional": bidi_spec(),
+    }
+    nets = {name: init_network(spec, seed=23) for name, spec in specs.items()}
+    odd = copy.deepcopy(nets["alif"])
+    odd.layers[0].w_in.flat[:8] = [-0.0, 5e-324, 1e-5, 1e16, 1e300, math.nan,
+                                   math.inf, -2.5e-308]
+    odd.layers[1].bias[:2] = [-0.0, math.nan]
+    nets["odd entries"] = odd
+    for name, net in nets.items():
+        save_model(net, tmp_path / "model.json")
+        with open(tmp_path / "reference.json", "w") as f:
+            json.dump(_list_form(net), f, indent=1, sort_keys=True)
+            f.write("\n")
+        assert (tmp_path / "model.json").read_bytes() == \
+            (tmp_path / "reference.json").read_bytes(), name
+    # empty containers, arrays with no entries, strings that need escapes
+    doc = {"b": {}, "a": [], "c": [np.zeros(0), np.zeros((2, 0)), np.zeros((0, 3))],
+           "é\"q": ("x\n", 1, True, None, -0.0, [[]], {"z": np.arange(3.0)})}
+    listed = json.loads(json.dumps(doc, default=lambda a: a.tolist()))
+    out = io.StringIO()
+    srnn.network._write_json(out, doc)
+    assert out.getvalue() == json.dumps(listed, indent=1, sort_keys=True)
+
+
 def test_online_api_rejects_bidirectional_networks():
     bn = init_network(bidi_spec(), seed=21)
     why = "a bidirectional network needs the whole sequence"
@@ -870,6 +922,24 @@ def test_load_rejects_arrays_that_contradict_the_spec(tmp_path):
         (edit(bidi, "forward_layers", 1, "w_in", [[0.0] * 4] * 3),
          "forward_layers[1].w_in: expected shape (5, 4)"),
         (edit(bidi, "backward_layers", 0, "bias", [0.0] * 2), "backward_layers[0].bias"),
+        (edit(plain, "layers", 0, "bias", ["x"] + [0.0] * 4),
+         "layers[0].bias: expected numbers, got 'x'"),
+        (edit(plain, "layers", 1, "tau_m", [8.0, True, 8.0, 8.0]),
+         "layers[1].tau_m: expected numbers, got True"),
+        (edit(plain, "layers", 0, "u_init", [0.0, None, 0.0, 0.0, 0.0]),
+         "layers[0].u_init: expected numbers, got None"),
+        (edit(plain, "layers", 0, "bias", [10**400] + [0.0] * 4),
+         "layers[0].bias: an integer beyond float range"),
+        (edit(plain, "layers", 0, "w_in", [[0.0] * 5, [0.0] * 4, [0.0] * 5]),
+         "layers[0].w_in: ragged rows"),
+        (edit(plain, "layers", 0, "w_rec", [[0.0] * 5] * 4 + [0.0]),
+         "layers[0].w_rec: ragged rows"),
+        (edit(plain, "layers", 1, "w_in", [[[0.0] * 4]] * 5),
+         "layers[1].w_in: nested 3 lists deep"),
+        (edit(plain, "layers", 1, "w_in", [[0.0, "1.5", 0.0, 0.0]] * 5),
+         "layers[1].w_in: expected numbers, got '1.5'"),
+        (edit(plain, "layers", 1, "tau_adp", "x"),
+         "layers[1].tau_adp: expected numbers, got 'x'"),
     ]
     short = json.loads(json.dumps(plain))
     del short["layers"][1]
@@ -878,6 +948,9 @@ def test_load_rejects_arrays_that_contradict_the_spec(tmp_path):
         path.write_text(json.dumps(doc))
         with pytest.raises(ValueError, match=re.escape(why)):
             load_model(path)
+    # an integer within float range is a number, as in srnn.jsondoc
+    path.write_text(json.dumps(edit(plain, "layers", 0, "bias", [0, 1, -2, 0, 3])))
+    np.testing.assert_array_equal(load_model(path).layers[0].bias, [0, 1, -2, 0, 3])
 
 
 def test_forward_input_validation():
