@@ -5,8 +5,9 @@ Spiking layers are charged per step: a fixed number of multiply-accumulate
 membrane decay, threshold decay, threshold composition; 1 for plain and
 readout integrators), plus accumulate-only (AC) operations for the
 synaptic events, which scale with the firing rate. Analog layer types are
-charged their standard dense-algebra MAC counts. Energy per step uses
-45 nm CMOS costs: 3.1 pJ per MAC and 0.1 pJ per AC.
+charged their standard dense-algebra MAC counts. `ArchEntry.mac` is the one
+MAC rule; `snn_cost_per_step`, `ann_cost_per_step` and `cost_report` sum
+it. Energy per step uses 45 nm CMOS costs: 3.1 pJ per MAC, 0.1 pJ per AC.
 
 These are theoretical counts over the architecture description; no memory
 traffic is modeled. Measured firing rates and synaptic operations (SOPs)
@@ -21,6 +22,7 @@ from typing import Literal, Optional, get_args
 
 import numpy as np
 
+from srnn.datasets import csv_text
 from srnn.jsondoc import read
 from srnn.network import SPIKING_KINDS, ForwardTrace, Network
 
@@ -60,6 +62,21 @@ class ArchEntry:
         if self.recurrent:
             per_copy += self.size * self.size
         return self.copies * per_copy
+
+    @property
+    def spiking(self) -> bool:
+        return self.kind in SNN_MAC_COEFF
+
+    @property
+    def mac(self) -> int:
+        """MACs per step: the state updates of a spiking kind
+        (SNN_MAC_COEFF per neuron), the dense algebra of an analog one."""
+        n, m = self.fan_in, self.size
+        if self.spiking:
+            return self.copies * SNN_MAC_COEFF[self.kind] * m
+        return self.copies * {"dense": n * m, "vanilla_rnn": (n + m) * m,
+                              "gru": 3 * (n + m) * m + 3 * m,
+                              "lstm": 4 * (n + m) * m + 4 * m}[self.kind]
 
 
 @dataclass
@@ -206,34 +223,17 @@ def sop_count(trace: ForwardTrace, arch: ArchDescription):
 
 def snn_cost_per_step(arch: ArchDescription, fr: float = 0.0):
     """(MAC, AC) per step for a spiking architecture at firing rate fr."""
-    if not 0.0 <= fr <= 1.0:
-        raise ValueError("fr must lie in [0, 1]")
-    mac = 0
-    for e in arch.layers:
-        if e.kind not in SNN_MAC_COEFF:
-            raise ValueError(f"{e.kind!r} is not a spiking layer kind")
-        mac += SNN_MAC_COEFF[e.kind] * e.size * e.copies
-    ac = fr * arch.total_synapses
-    return mac, ac
-
-
-def _analog_mac(e: ArchEntry) -> int:
-    if e.kind == "dense":
-        per_copy = e.fan_in * e.size
-    elif e.kind == "vanilla_rnn":
-        per_copy = (e.fan_in + e.size) * e.size
-    elif e.kind == "gru":
-        per_copy = 3 * (e.fan_in + e.size) * e.size + 3 * e.size
-    elif e.kind == "lstm":
-        per_copy = 4 * (e.fan_in + e.size) * e.size + 4 * e.size
-    else:
-        raise ValueError(f"{e.kind!r} is not an analog layer kind")
-    return e.copies * per_copy
+    report = cost_report(arch, fr)
+    if analog := [e.kind for e in arch.layers if not e.spiking]:
+        raise ValueError(f"{analog[0]!r} is not a spiking layer kind")
+    return report.mac_per_step, report.ac_per_step
 
 
 def ann_cost_per_step(arch: ArchDescription) -> int:
     """Total MAC per step for an analog (non-spiking) architecture."""
-    return sum(_analog_mac(e) for e in arch.layers)
+    if spiking := [e.kind for e in arch.layers if e.spiking]:
+        raise ValueError(f"{spiking[0]!r} is not an analog layer kind")
+    return sum(e.mac for e in arch.layers)
 
 
 def energy_per_step(mac: float, ac: float) -> float:
@@ -271,11 +271,8 @@ class CostReport:
         return "\n".join(lines) + "\n"
 
     def to_csv_text(self) -> str:
-        lines = ["layer,kind,size,mac_per_step,synapses"]
-        for r in self.rows:
-            lines.append(f"{r['layer']},{r['kind']},{r['size']},"
-                         f"{r['mac_per_step']},{r['synapses']}")
-        return "\n".join(lines) + "\n"
+        columns = ("layer", "kind", "size", "mac_per_step", "synapses")
+        return csv_text([columns, *([r[c] for c in columns] for r in self.rows)])
 
 
 def cost_report(arch: ArchDescription, fr: float = 0.0,
@@ -287,18 +284,10 @@ def cost_report(arch: ArchDescription, fr: float = 0.0,
     """
     if not 0.0 <= fr <= 1.0:
         raise ValueError("fr must lie in [0, 1]")
-    rows = []
-    mac_total = 0.0
-    spiking_synapses = 0
-    for i, e in enumerate(arch.layers):
-        if e.kind in SNN_MAC_COEFF:
-            mac = SNN_MAC_COEFF[e.kind] * e.size * e.copies
-            spiking_synapses += e.synapses
-        else:
-            mac = _analog_mac(e)
-        mac_total += mac
-        rows.append({"layer": i, "kind": e.kind, "size": e.size,
-                     "mac_per_step": mac, "synapses": e.synapses})
+    rows = [{"layer": i, "kind": e.kind, "size": e.size, "mac_per_step": e.mac,
+             "synapses": e.synapses} for i, e in enumerate(arch.layers)]
+    mac_total = sum(e.mac for e in arch.layers)
+    spiking_synapses = sum(e.synapses for e in arch.layers if e.spiking)
     ac = fr * spiking_synapses
     report = CostReport(mac_per_step=mac_total, ac_per_step=ac,
                         energy_per_step_pj=energy_per_step(mac_total, ac),

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from srnn.datasets import Dataset, input_array
+from srnn.datasets import Dataset, csv_text, input_array
 from srnn.training import _softmax, evaluate
 
 
@@ -113,7 +113,7 @@ def decode_membrane(u) -> np.ndarray:
     return _softmax(u, axis=-1)
 
 
-def anytime_curve(net, data, chunk_size: int = 64) -> np.ndarray:
+def anytime_curve(net, data) -> np.ndarray:
     """Accuracy after consuming t steps, for every t, over a dataset.
 
     Spike-count decoding scores the running cumulative counts; membrane
@@ -124,7 +124,7 @@ def anytime_curve(net, data, chunk_size: int = 64) -> np.ndarray:
     """
     if len(data.inputs) == 0:
         raise ValueError("dataset is empty")
-    return evaluate(net, data, chunk_size).anytime
+    return evaluate(net, data).anytime
 
 
 def encode_dataset(ds, up: float = 0.3, down: float = 0.3):
@@ -137,7 +137,5 @@ def encode_dataset(ds, up: float = 0.3, down: float = 0.3):
 
 def anytime_csv_text(curve) -> str:
     """Render an anytime accuracy curve as a two-column CSV."""
-    lines = ["step,accuracy"]
-    for t, acc in enumerate(np.asarray(curve, dtype=float)):
-        lines.append(f"{t},{repr(float(acc))}")
-    return "\n".join(lines) + "\n"
+    return csv_text([("step", "accuracy"),
+                     *enumerate(np.asarray(curve, dtype=float).tolist())])

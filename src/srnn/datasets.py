@@ -24,10 +24,16 @@ File formats kept deliberately plain:
   dense CSV   one row per timestep: label,v0,...,v{N-1}
   event CSV   one row per spike: sample,t,channel,label
   IDX         big-endian images/labels with the standard magic numbers
+
+The package's CSV rules live here: `csv_text` writes every table srnn
+emits, and `read_csv` parses every CSV file it reads into float or int64
+columns. Only `save_dense_csv` formats its values itself, once per
+distinct value.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
 import struct
@@ -154,10 +160,10 @@ def gen_pattern_classification(n_classes: int, t_steps: int, channels: int,
         labels[k] = srng.integers(n_classes)
         times = templates[labels[k]]
         if jitter_std > 0:
-            # one draw of all events equals the per-channel draws in turn
-            times = times + np.rint(
-                srng.normal(0.0, jitter_std, size=times.shape)).astype(int)
-            times = np.clip(times, 0, t_steps - 1)
+            # one draw of all events equals the per-channel draws in turn;
+            # times are clipped as floats, so no jitter overflows the cast
+            times = np.clip(times + np.rint(srng.normal(0.0, jitter_std, size=times.shape)),
+                            0, t_steps - 1).astype(int)
         inputs[k, times, chans] = True
     return Dataset(inputs=inputs, labels=labels,
                    kind="sequence-classification", n_classes=n_classes)
@@ -223,28 +229,67 @@ def gen_streaming_waveform(k: int, segment_len: int, segments_per_sample: int,
     return Dataset(inputs=inputs, labels=labels, kind="streaming", n_classes=k)
 
 
+def csv_text(rows) -> str:
+    """Rows as CSV text: each value as `str()` writes it (a float as its
+    round-trip repr), commas between, every line ended by a newline."""
+    return "".join(",".join(map(str, row)) + "\n" for row in rows)
+
+
 def _parse_error(path, line_no: int, why: str) -> ValueError:
     return ValueError(f"{path}:{line_no}: {why}")
 
 
-def _first_bad_row(path, channels: int) -> ValueError:
-    """The error of the first line of a dense CSV that is not a row of finite numbers."""
+def _parse(lines, dtype) -> np.ndarray:
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)   # no rows: the caller reports it
+        # numpy before 2.0 reads "1.5" as the int 1, with this warning
+        warnings.filterwarnings("error", ".*integer via a float", DeprecationWarning)
+        return np.loadtxt(lines, delimiter=",", comments=None, ndmin=2, dtype=dtype)
+
+
+def _numbered_lines(path):
+    """(line number, stripped text) of each non-blank line of a file."""
     with open(path) as f:
         for line_no, line in enumerate(f, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            n_fields = line.count(",") + 1
-            if n_fields != channels + 1:
-                return _parse_error(path, line_no,
-                                    f"expected {channels + 1} fields, got {n_fields}")
-            try:
-                row = np.loadtxt([line], delimiter=",", comments=None)
-            except ValueError:
-                return _parse_error(path, line_no, "non-numeric field")
-            if not np.isfinite(row).all():
-                return _parse_error(path, line_no, "non-finite field")
-    return ValueError(f"{path}: not a dense CSV")
+            if line := line.strip():
+                yield line_no, line
+
+
+def _first_bad_row(path, n_fields: int, dtype) -> ValueError:
+    """The error of the first line that is not `n_fields` finite `dtype` numbers."""
+    for line_no, line in _numbered_lines(path):
+        if (got := line.count(",") + 1) != n_fields:
+            return _parse_error(path, line_no, f"expected {n_fields} fields, got {got}")
+        try:
+            row = _parse([line], dtype)
+        except (ValueError, DeprecationWarning):
+            return _parse_error(path, line_no, "non-numeric field" if dtype is float
+                                else "non-integer field")
+        if not np.isfinite(row).all():
+            return _parse_error(path, line_no, "non-finite field")
+    return ValueError(f"{path}: not a CSV of {n_fields} fields")
+
+
+def _line_of(path, row: int) -> int:
+    """The line number of the `row`-th non-blank line (from 0) of a file."""
+    return next(itertools.islice(_numbered_lines(path), row, None))[0]
+
+
+def read_csv(path, n_fields: int, dtype=float) -> np.ndarray:
+    """The non-blank lines of a CSV file as an (n_rows, n_fields) array of
+    finite floats or of int64s (digits, optional sign); empty if none.
+
+    numpy parses the whole file; only if that fails is it scanned line by
+    line, to name the file and line of the first bad row in a ValueError.
+    """
+    try:
+        with open(path) as f:
+            arr = _parse((line for line in map(str.strip, f) if line), dtype)
+    except (ValueError, DeprecationWarning):
+        raise _first_bad_row(path, n_fields, dtype) from None
+    if arr.size and (arr.shape[1] != n_fields or not np.isfinite(arr).all()):
+        raise _first_bad_row(path, n_fields, dtype)
+    return arr
 
 
 def load_dense_csv(path, t_steps: int, channels: int) -> Dataset:
@@ -253,17 +298,9 @@ def load_dense_csv(path, t_steps: int, channels: int) -> Dataset:
     A constant label column within a sample means sequence classification;
     a varying one means streaming (applied uniformly over the file). Blank
     lines are skipped. A field that is not a finite number fails, naming
-    the file and line. The rows are parsed straight into one float array.
+    the file and line.
     """
-    try:
-        with open(path) as f, warnings.catch_warnings():
-            warnings.simplefilter("ignore", UserWarning)   # empty: reported below
-            rows = (line for line in map(str.strip, f) if line)
-            arr = np.loadtxt(rows, delimiter=",", comments=None, ndmin=2)
-    except ValueError:
-        raise _first_bad_row(path, channels) from None
-    if arr.size and (arr.shape[1] != channels + 1 or not np.isfinite(arr).all()):
-        raise _first_bad_row(path, channels)
+    arr = read_csv(path, channels + 1)
     n_rows = len(arr)
     if not n_rows or n_rows % t_steps != 0:
         raise ValueError(f"{path}: row count {n_rows} is not a multiple "
@@ -305,48 +342,31 @@ def save_dense_csv(ds: Dataset, path) -> None:
 def load_event_csv(path) -> Dataset:
     """Read sample,t,channel,label spike events into a bool dataset.
 
-    Raises ValueError naming the file and line of a malformed or negative
-    event, and of an event whose label differs from its sample's first one.
+    Every field is an int64 (see read_csv). Raises ValueError naming the
+    file and line of a malformed or negative event, and of an event whose
+    label differs from its sample's first one.
     """
-    events, line_nos = [], []
-    with open(path) as f:
-        for line_no, line in enumerate(f, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != 4:
-                raise _parse_error(path, line_no,
-                                   f"expected 4 fields, got {len(parts)}")
-            try:
-                events.append([int(p) for p in parts])
-            except ValueError:
-                raise _parse_error(path, line_no, "non-integer field") from None
-            line_nos.append(line_no)
-    if not events:
+    ev = read_csv(path, 4, np.int64)
+    if not len(ev):
         raise ValueError(f"{path}: no events")
-    ev = np.asarray(events)
     negative = (ev < 0).any(axis=1).nonzero()[0]
     if negative.size:
-        raise _parse_error(path, line_nos[negative[0]], "negative field")
+        raise _parse_error(path, _line_of(path, negative[0]), "negative field")
     samples, first = np.unique(ev[:, 0], return_index=True)
     sample_label = ev[first[np.searchsorted(samples, ev[:, 0])], 3]
     clash = (ev[:, 3] != sample_label).nonzero()[0]
     if clash.size:
         i = clash[0]
         j = first[np.searchsorted(samples, ev[i, 0])]
-        raise _parse_error(path, line_nos[i],
+        raise _parse_error(path, _line_of(path, i),
                            f"sample {ev[i, 0]} has label {ev[i, 3]} here but "
-                           f"label {ev[j, 3]} on line {line_nos[j]}")
-    n = ev[:, 0].max() + 1
-    t_steps = ev[:, 1].max() + 1
-    channels = ev[:, 2].max() + 1
+                           f"label {ev[j, 3]} on line {_line_of(path, j)}")
+    n, t_steps, channels = ev[:, :3].max(axis=0) + 1
     inputs = np.zeros((n, t_steps, channels), dtype=bool)
     labels = np.zeros(n, dtype=int)
     inputs[ev[:, 0], ev[:, 1], ev[:, 2]] = True
     labels[ev[:, 0]] = ev[:, 3]
-    return Dataset(inputs=inputs, labels=labels,
-                   kind="sequence-classification",
+    return Dataset(inputs=inputs, labels=labels, kind="sequence-classification",
                    n_classes=int(ev[:, 3].max()) + 1)
 
 
@@ -356,9 +376,8 @@ def save_event_csv(ds: Dataset, path) -> None:
         raise ValueError("event CSV holds sequence-classification data")
     if not np.all((ds.inputs == 0) | (ds.inputs == 1)):
         raise ValueError("event CSV holds binary rasters only")
-    with open(path, "w") as f:
-        for s, t, ch in zip(*np.nonzero(ds.inputs)):
-            f.write(f"{s},{t},{ch},{int(ds.labels[s])}\n")
+    s, t, ch = np.nonzero(ds.inputs)
+    Path(path).write_text(csv_text(np.column_stack([s, t, ch, ds.labels[s]]).tolist()))
 
 
 def _idx_body(f, path, header_bytes: int, claimed: int) -> bytes:

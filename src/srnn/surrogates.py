@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
-from typing import ClassVar, Union, get_args
+from typing import ClassVar, Union
 
 import numpy as np
 
@@ -92,8 +92,6 @@ class SLayer:
 
 
 SurrogateKind = Union[MultiGaussian, Gaussian, Linear, SLayer]
-
-SURROGATE_KINDS = {cls.kind: cls for cls in get_args(SurrogateKind)}
 
 
 def mg_grad(u, theta, h: float = 0.15, s: float = 6.0, sigma: float = 0.5):

@@ -60,7 +60,7 @@ from typing import ClassVar, Literal, Optional, Union, get_args
 import numpy as np
 
 from srnn.accounting import ArchDescription, SpikeCounts, synaptic_ops
-from srnn.datasets import input_array
+from srnn.datasets import csv_text, input_array
 from srnn.network import (
     BLOCK_STEPS,
     Cell,
@@ -506,7 +506,6 @@ class TrainingConfig:
     train_tau_m: bool = True
     train_tau_adp: bool = True
     chunk_size: int = 16
-    shuffle: bool = True
 
     def __post_init__(self):
         if self.epochs < 0:
@@ -535,16 +534,7 @@ class MetricsLog:
                           "lr": float(lr)})
 
     def to_csv_text(self) -> str:
-        lines = [",".join(self.COLUMNS)]
-        for r in self.rows:
-            lines.append(",".join([
-                str(r["epoch"]), r["split"], repr(r["loss"]), repr(r["accuracy"]),
-                repr(r["mean_firing_rate"]), repr(r["lr"])]))
-        return "\n".join(lines) + "\n"
-
-    def to_csv(self, path) -> None:
-        with open(path, "w") as f:
-            f.write(self.to_csv_text())
+        return csv_text([self.COLUMNS, *([r[c] for c in self.COLUMNS] for r in self.rows)])
 
 
 def _chunk_job(net, inputs, labels, config, chunk):
@@ -609,7 +599,7 @@ def fit(spec, train_data, config: TrainingConfig, eval_data=None, threads: int =
     try:
         for epoch in range(config.epochs):
             lr = lr_at(config.schedule, config.lr, epoch)
-            order = rng.permutation(n) if config.shuffle else np.arange(n)
+            order = rng.permutation(n)
             ep_loss = 0.0
             ep_correct = 0
             ep_total = 0

@@ -14,9 +14,14 @@ import pytest
 
 import srnn
 import srnn.cli
+from srnn.accounting import ArchDescription, cost_report
 from srnn.cli import main
 from srnn.datasets import Dataset, load_dataset, save_dataset
-from srnn.network import LayerSpec, NetworkSpec, init_network, load_model, save_model
+from srnn.gradcheck import _kink_margin
+from srnn.jsondoc import read
+from srnn.network import LayerSpec, NetworkSpec, forward_sequence, init_network, load_model, \
+    save_model
+from srnn.training import evaluate, fit
 
 
 def write_config(path, doc):
@@ -92,6 +97,81 @@ def test_train_is_thread_invariant(tmp_path):
             == (tmp_path / "t4" / "metrics.csv").read_bytes())
     assert ((tmp_path / "t1" / "model.json").read_bytes()
             == (tmp_path / "t4" / "model.json").read_bytes())
+
+
+# The CSV tables as the f-string writers of earlier versions formatted them;
+# every table srnn writes must keep these bytes.
+def _reference_metrics_csv(rows):
+    lines = ["epoch,split,loss,accuracy,mean_firing_rate,lr"]
+    for r in rows:
+        lines.append(",".join([
+            str(r["epoch"]), r["split"], repr(r["loss"]), repr(r["accuracy"]),
+            repr(r["mean_firing_rate"]), repr(r["lr"])]))
+    return "\n".join(lines) + "\n"
+
+
+def _reference_anytime_csv(curve):
+    lines = ["step,accuracy"]
+    for t, acc in enumerate(np.asarray(curve, dtype=float)):
+        lines.append(f"{t},{repr(float(acc))}")
+    return "\n".join(lines) + "\n"
+
+
+def _reference_cost_csv(report):
+    lines = ["layer,kind,size,mac_per_step,synapses"]
+    for r in report.rows:
+        lines.append(f"{r['layer']},{r['kind']},{r['size']},"
+                     f"{r['mac_per_step']},{r['synapses']}")
+    return "\n".join(lines) + "\n"
+
+
+def _reference_predictions_csv(labels, pred):
+    lines = ["sample,step,label,prediction"]
+    for s in range(labels.shape[0]):
+        for t in range(labels.shape[1]):
+            lines.append(f"{s},{t},{labels[s, t]},{pred[s, t]}")
+    return "\n".join(lines) + "\n"
+
+
+def test_tables_keep_their_bytes(tmp_path):
+    cfg = pattern_config(tmp_path, out_name="tb")
+    config = srnn.cli._read_file(srnn.cli.Config, cfg, "config file")
+    train, val, test = srnn.cli._build_task(config.task)
+    net, log = fit(config.network, train, config.training, eval_data=val)
+    rep = evaluate(net, test)
+    report = cost_report(ArchDescription.from_network(net), fr=rep.firing_rate)
+    want = {"metrics.csv": _reference_metrics_csv(log.rows),
+            "anytime.csv": _reference_anytime_csv(rep.anytime),
+            "cost_report.csv": _reference_cost_csv(report)}
+    assert len(log.rows) == 4 and any(0 < a < 1 for a in rep.anytime)
+    for threads in ("1", "2"):
+        assert main(["train", "--config", cfg, "--threads", threads]) == 0
+        for name, text in want.items():
+            assert (tmp_path / "tb" / name).read_bytes() == text.encode(), (threads, name)
+
+    assert main(["train", "--config", streaming_config(tmp_path)]) == 0
+    assert main(["gen", "--config", streaming_config(tmp_path),
+                 "--out", str(tmp_path / "sd")]) == 0
+    model, data = tmp_path / "stream" / "model.json", tmp_path / "sd" / "test"
+    assert main(["eval", "--model", str(model), "--data", str(data),
+                 "--out", str(tmp_path / "ev")]) == 0
+    data_set = load_dataset(data)
+    pred = evaluate(load_model(model), data_set).step_predictions
+    assert ((tmp_path / "ev" / "predictions.csv").read_bytes()
+            == _reference_predictions_csv(data_set.labels, pred).encode())
+
+    arch = {"layers": [
+        {"kind": "alif", "fan_in": 700, "size": 128, "recurrent": True, "copies": 2},
+        {"kind": "lif", "fan_in": 256, "size": 64},
+        {"kind": "readout", "fan_in": 64, "size": 20},
+        {"kind": "lstm", "fan_in": 20, "size": 33}, {"kind": "gru", "fan_in": 33, "size": 7},
+        {"kind": "vanilla_rnn", "fan_in": 7, "size": 5}, {"kind": "dense", "fan_in": 5, "size": 3}]}
+    (tmp_path / "arch.json").write_text(json.dumps(arch))
+    assert main(["energy", "--arch", str(tmp_path / "arch.json"), "--fr", "0.1",
+                 "--out", str(tmp_path / "en")]) == 0
+    report = cost_report(ArchDescription.from_dict(arch), fr=0.1)
+    assert (tmp_path / "en" / "cost_report.csv").read_bytes() == \
+        _reference_cost_csv(report).encode()
 
 
 def test_train_zero_epochs(tmp_path):
@@ -542,6 +622,34 @@ def test_gradcheck_verdict_reads_the_score_that_allows_for_fd_noise(
         assert f"scored rel err {scored:.3e}" in out and out.strip().endswith(verdict)
 
 
+def test_gradcheck_checks_the_widest_draw_once_per_mode(tmp_path, monkeypatch, capsys):
+    # At 60 steps of 4 samples no draw clears a 1e-3 kink margin. Each
+    # draw's soft pass picks the one farthest from a kink, and each mode
+    # runs one check on it, not one per draw.
+    cfg = gradcheck_config(tmp_path, "gcw", {"t_steps": 60, "batch": 4})
+    real, calls = srnn.cli.grad_check, []
+
+    def counting(net, x, targets, mode, **kw):
+        calls.append((mode, x))
+        return real(net, x, targets, mode=mode, **kw)
+
+    monkeypatch.setattr(srnn.cli, "grad_check", counting)
+    assert main(["gradcheck", "--config", cfg]) == 0
+    spec = read(NetworkSpec, json.loads(Path(cfg).read_text())["network"])
+    margins, draws = [], []
+    for attempt in range(8):
+        rng = np.random.default_rng([0, attempt])
+        x = rng.standard_normal((4, 60, 2))
+        trace = forward_sequence(init_network(spec, seed=attempt), x, soft=True)
+        margins.append(_kink_margin(trace))
+        draws.append(x)
+    assert max(margins) < 1e-3
+    assert [mode for mode, _ in calls] == ["relu_exact", "surrogate_consistency"]
+    widest = draws[int(np.argmax(margins))]
+    assert all(np.array_equal(x, widest) for _, x in calls)
+    assert f"kink margin {max(margins):.3e}" in capsys.readouterr().out.splitlines()[0]
+
+
 def test_log_level_validation(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("SRNN_LOG", "chatty")
     assert main(["energy"]) == 2
@@ -574,6 +682,7 @@ CONFIG_MUTATIONS = {
     "check-1e400": ("check/tol_rel", RAW_1E400, "check/tol_rel"),
     "surrogate-extra-key": ("training/surrogate", {"kind": "linear", "sigma": 1},
                             "unknown key 'sigma'"),
+    "training-shuffle": ("training/shuffle", False, "unknown key 'shuffle'"),
     "network-negative-seed": ("network/seed", -1, "seed must be non-negative"),
     "training-negative-seed": ("training/seed", -1, "seed must be non-negative"),
     "check-negative-seed": ("check/seed", -1, "seed must be non-negative"),
@@ -609,6 +718,8 @@ MANIFEST_MUTATIONS = {
     "manifest-sample-count": (lambda m: {**m, "n_samples": m["n_samples"] + 1},
                               "bad dataset: {dir}/manifest.json: manifest sample "
                               "count mismatch"),
+    "manifest-data-is-the-directory": (lambda m: {**m, "data": ""},
+                                       "bad dataset: [Errno 21] Is a directory: '{dir}'"),
 }
 
 # Dense-CSV mutations of a saved test split: (new rows, None to delete data.csv;
@@ -797,6 +908,44 @@ def test_model_file_fuzz_loads_or_exits_2(tmp_path, capsys):
         err = capsys.readouterr().err.strip().splitlines()
         assert code == 0 or (code == 2 and len(err) == 1), (text[:300], code, err)
     assert len(leaves) > 80 and 0 < loaded < len(texts)
+
+
+def _exits_0_or_2_with_one_line(capsys, argv, what):
+    capsys.readouterr()
+    code = main(argv)
+    err = capsys.readouterr().err.strip().splitlines()
+    assert code == 0 or (code == 2 and len(err) == 1), (what, code, err)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_config_and_manifest_fuzz_exit_0_or_2(tmp_path, capsys):
+    # every fuzz value on every leaf of the tiny train config, run through
+    # `srnn gen`, which reads every section and draws the task; then on
+    # every field of a dataset manifest, run through `srnn eval`. Sizes that
+    # set the work of drawing the task (samples, steps, channels and one
+    # template per class) stay small: a large one is real work, not a fault.
+    cfg = pattern_config(tmp_path, out_name="fz")
+    good = json.loads(Path(cfg).read_text())
+    sized = {("task", k) for k in ("n_samples", "t_steps", "channels", "n_classes")}
+    for path in _leaf_paths(good):
+        for value in FUZZ_VALUES:
+            if path in sized and value in (2**31, 10**6):
+                continue
+            Path(cfg).write_text(json.dumps(_with(good, (path, value))))
+            _exits_0_or_2_with_one_line(
+                capsys, ["gen", "--config", cfg, "--out", str(tmp_path / "g")], (path, value))
+    model = tmp_path / "m.json"
+    save_model(init_network(NetworkSpec(input_size=3, layers=[
+        LayerSpec(size=4, recurrent=True), LayerSpec(size=2)])), model)
+    Path(cfg).write_text(json.dumps(good))
+    assert main(["gen", "--config", cfg, "--out", str(tmp_path / "sets")]) == 0
+    data = tmp_path / "sets" / "test"
+    manifest = json.loads((data / "manifest.json").read_text())
+    for key in manifest:
+        for value in FUZZ_VALUES:
+            (data / "manifest.json").write_text(json.dumps({**manifest, key: value}))
+            _exits_0_or_2_with_one_line(
+                capsys, ["eval", "--model", str(model), "--data", str(data)], (key, value))
 
 
 def test_json_files_nested_too_deep_exit_2(tmp_path, capsys):

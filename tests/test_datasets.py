@@ -319,6 +319,32 @@ def test_event_csv_round_trip(tmp_path):
     assert np.array_equal(back.labels, ds.labels)
 
 
+def _reference_event_csv(ds, path):
+    """The per-event writer save_event_csv must match byte for byte."""
+    with open(path, "w") as f:
+        for s, t, ch in zip(*np.nonzero(ds.inputs)):
+            f.write(f"{s},{t},{ch},{int(ds.labels[s])}\n")
+
+
+def test_event_csv_bytes_match_the_per_event_writer(tmp_path):
+    ds = gen_pattern_classification(12, 40, 30, 1.0, seed=5, n_samples=25)
+    got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+    save_event_csv(ds, got)
+    _reference_event_csv(ds, want)
+    assert got.read_bytes() == want.read_bytes()
+    assert got.read_text().count("\n") == np.count_nonzero(ds.inputs) > 0
+
+
+@pytest.mark.parametrize("field", ["1_0", "\u0661", "\uff15", "9223372036854775808"])
+def test_event_csv_fields_are_int64(tmp_path, field):
+    # Python's int() reads each of these; numpy's int64 parser, and so the
+    # event loader, reads none of them
+    bad = tmp_path / "bad.csv"
+    bad.write_text(f"0,1,2,1\n\n0,{field},2,1\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=r"bad\.csv:3: non-integer field"):
+        load_event_csv(bad)
+
+
 def test_event_csv_rejects_non_rasters(tmp_path):
     analog = gen_streaming_waveform(3, 10, 2, 0.0, seed=0, n_samples=5)
     with pytest.raises(ValueError):

@@ -22,14 +22,15 @@ from srnn.training import backward
 
 
 def spiking_spec(seed, decode="membrane_softmax", out_neuron="readout",
-                 recurrent=True):
+                 recurrent=True, out_recurrent=False):
     hid = dict(neuron="alif", recurrent=recurrent, tau_m_init=(3.0, 0.5),
                tau_adp_init=(12.0, 2.0), b_0=0.2, beta=0.3)
     if out_neuron == "readout":
         out = LayerSpec(size=3, neuron="readout", tau_m_init=(5.0, 1.0))
     else:
-        out = LayerSpec(size=3, neuron="alif", tau_m_init=(3.0, 0.5),
-                        tau_adp_init=(12.0, 2.0), b_0=0.2, beta=0.3)
+        out = LayerSpec(size=3, neuron="alif", recurrent=out_recurrent,
+                        tau_m_init=(3.0, 0.5), tau_adp_init=(12.0, 2.0),
+                        b_0=0.2, beta=0.3)
     return NetworkSpec(
         input_size=4,
         layers=[LayerSpec(size=6, **hid), LayerSpec(size=6, **hid), out],
@@ -144,6 +145,29 @@ def test_tape_matches_vectorized_backward_in_hard_mode():
         assert report.checked > 0
         assert report.max_abs_err < 1e-8
         assert report.fd_noise is None
+
+
+@pytest.mark.parametrize("out_recurrent", [False, True])
+def test_spiking_membrane_softmax_matches_both_oracles(out_recurrent):
+    # The one decoder whose loss seeds an adaptive spiking head's membrane
+    # directly, under the surrogate slope in the hard mode.
+    worst_tape = worst_fd = 0.0
+    for seed in range(3):
+        spec = spiking_spec(seed, decode="spiking_membrane_softmax", out_neuron="alif",
+                            out_recurrent=out_recurrent)
+        rng = np.random.default_rng([13, seed])
+        x = 2.0 * rng.standard_normal((2, 15, 4))
+        labels = rng.integers(0, 3, size=2)
+        tape = grad_check(init_network(spec, seed), x, labels,
+                          mode="surrogate_consistency")
+        _, _, _, fd = sample_case(spec, seed)
+        for report in (tape, fd):
+            assert report.families["tau_adp"].checked > 0
+            assert report.families["w_rec"].checked > 0
+        worst_tape = max(worst_tape, tape.max_abs_err)
+        worst_fd = max(worst_fd, fd.max_scored_rel_err)
+    assert worst_tape < 1e-8
+    assert worst_fd < 1e-4
 
 
 def test_tape_gradients_agree_with_backward_directly():
