@@ -7,8 +7,8 @@ single-neuron dynamics (srnn.neurons), surrogate spike derivatives
 (srnn.training), independent gradient oracles (srnn.gradcheck), spike
 encoders and decoders (srnn.codecs), operation and energy accounting
 (srnn.accounting), synthetic tasks and file loaders (srnn.datasets), the
-reader of JSON documents (srnn.jsondoc), and a command-line front end
-(srnn.cli).
+reader and writer of JSON files (srnn.jsondoc), and a command-line front
+end (srnn.cli).
 """
 
 from srnn.accounting import (

@@ -34,7 +34,6 @@ distinct value.
 from __future__ import annotations
 
 import itertools
-import json
 import os
 import struct
 import warnings
@@ -44,7 +43,7 @@ from typing import Literal, get_args
 
 import numpy as np
 
-from srnn.jsondoc import load, read
+from srnn.jsondoc import dump, load, read
 
 DatasetKind = Literal["sequence-classification", "streaming"]
 DATASET_KINDS = get_args(DatasetKind)
@@ -66,6 +65,19 @@ def input_array(x) -> np.ndarray:
     return x if x.dtype == bool else x.astype(float, copy=False)
 
 
+def class_labels(labels, n_classes: int) -> np.ndarray:
+    """labels as int class indices; ValueError names the first label that is
+    not an integer in [0, n_classes), which is never cast into a class."""
+    labels = np.asarray(labels)
+    if labels.dtype.kind not in "biuf":
+        raise ValueError(f"labels must be integers, got {labels.dtype}")
+    bad = ~((labels >= 0) & (labels < n_classes) & (np.floor(labels) == labels))
+    if bad.any():
+        raise ValueError(f"label {labels[bad][0].item()!r} is not an integer "
+                         f"in [0, {n_classes})")
+    return labels.astype(int)
+
+
 @dataclass
 class Dataset:
     inputs: np.ndarray           # (samples, t_steps, channels), bool spikes or float
@@ -75,7 +87,7 @@ class Dataset:
 
     def __post_init__(self):
         self.inputs = input_array(self.inputs)
-        self.labels = np.asarray(self.labels, dtype=int)
+        self.labels = class_labels(self.labels, self.n_classes)
         if self.inputs.ndim != 3:
             raise ValueError("inputs must be (samples, t_steps, channels)")
         if self.kind not in DATASET_KINDS:
@@ -87,9 +99,6 @@ class Dataset:
             raise ValueError("one label row per sample is required")
         if want == 2 and self.labels.shape[1] != self.inputs.shape[1]:
             raise ValueError("streaming labels need one entry per step")
-        if self.labels.size and (self.labels.min() < 0
-                                 or self.labels.max() >= self.n_classes):
-            raise ValueError("labels must lie in [0, n_classes)")
 
     @property
     def n_samples(self) -> int:
@@ -473,9 +482,7 @@ def save_dataset(ds: Dataset, out_dir) -> None:
     manifest = Manifest(format=MANIFEST_FORMAT, kind=ds.kind, n_samples=ds.n_samples,
                         t_steps=ds.t_steps, channels=ds.channels,
                         n_classes=ds.n_classes, data="data.csv")
-    with open(out / "manifest.json", "w") as f:
-        json.dump(asdict(manifest), f, indent=1, sort_keys=True)
-        f.write("\n")
+    dump(asdict(manifest), out / "manifest.json")
     save_dense_csv(ds, out / "data.csv")
 
 

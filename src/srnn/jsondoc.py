@@ -1,6 +1,11 @@
-"""Read decoded JSON into the dataclasses that describe it.
+"""Read and write the package's JSON files, and read them into dataclasses.
 
-One reader serves every JSON document the package takes in: CLI configs,
+`load` is the one way the package decodes a JSON file (configs,
+architecture files, model files, dataset manifests), so a file that is
+not JSON fails the same way everywhere; `dump` is the one way it writes
+one (model files, dataset manifests).
+
+`read` serves every JSON document the package takes in: CLI configs,
 the specs in model files, architecture files, surrogate records and
 dataset manifests. It walks a dataclass's fields and checks each value
 against the annotation: an int must be a JSON integer (not a bool, not
@@ -13,10 +18,6 @@ names the member by the member's `kind` class attribute.
 Values are kept as decoded (an integer given for a float stays one), so a
 document read and written back with dataclasses.asdict keeps its bytes.
 A ValueError from __post_init__ is reported at the object's path.
-
-`load` is the one way the package decodes a JSON file (configs,
-architecture files, model files, dataset manifests), so a file that is
-not JSON fails the same way everywhere.
 """
 
 from __future__ import annotations
@@ -27,6 +28,8 @@ import json
 import math
 import sys
 from typing import Literal, Union, get_args, get_origin, get_type_hints
+
+import numpy as np
 
 
 class SchemaError(ValueError):
@@ -48,6 +51,43 @@ def load(path):
             return json.load(f)
     except (ValueError, RecursionError) as e:
         raise ValueError(f"invalid JSON: {e}") from None
+
+
+def dump(doc, path) -> None:
+    """Write `doc` to `path` as json.dump(doc, f, indent=1, sort_keys=True)
+    would, and a final newline."""
+    with open(path, "w") as f:
+        _write_json(f, doc)
+        f.write("\n")
+
+
+def _write_json(f, v, level: int = 0) -> None:
+    """Write `v` to `f` as json.dump(v, f, indent=1, sort_keys=True) would.
+
+    `v` is a document of dicts, lists and scalars whose arrays may also be
+    numpy arrays. The text goes out piece by piece: each 1-d array, an
+    innermost row, is formed by json's C encoder in one call (json.dump
+    with an indent runs its pure-Python encoder over every float), with an
+    item separator that carries the row's newline and padding, so its
+    floats get json's own text (float.__repr__, NaN) and nothing larger
+    than one row's text is held at a time.
+    """
+    pad, end = "\n" + " " * (level + 1), "\n" + " " * level
+    if isinstance(v, np.ndarray) and v.ndim == 1 and len(v):
+        row = json.dumps(v.tolist(), separators=("," + pad, ": "))
+        f.write("[" + pad + row[1:-1] + end + "]")
+    elif isinstance(v, dict) and v:
+        for k, key in enumerate(sorted(v)):
+            f.write(("," if k else "{") + pad + json.dumps(key) + ": ")
+            _write_json(f, v[key], level + 1)
+        f.write(end + "}")
+    elif isinstance(v, (list, tuple, np.ndarray)) and len(v):
+        for k, x in enumerate(v):
+            f.write(("," if k else "[") + pad)
+            _write_json(f, x, level + 1)
+        f.write(end + "]")
+    else:  # a scalar or an empty container
+        f.write(json.dumps(v.tolist() if isinstance(v, np.ndarray) else v))
 
 
 def read(tp, doc, path: str = "", complete: bool = False):

@@ -71,25 +71,27 @@ Layers may also run in a "soft" evaluation mode where the spike
 nonlinearity H(u - theta) is replaced by max(0, u - theta) and the reset
 pathways act on that continuous output. Nothing in soft mode is
 discontinuous, which makes it checkable against finite differences; it
-exists for gradient verification, not for deployment.
+exists for gradient verification, not for deployment. A pass sets its
+mode once, in `forward_sequence` or `init_state`: `cell(layer, soft)`
+records it on each Cell, where the step and the reverse sweep read it.
 
 The online API streams a batch one step at a time. `init_state` starts a
 stream: its LayerState for each layer holds the membrane, the last
 output and, on adaptive layers, eta and the threshold theta_{t-1}, plus
-a copy of the layer's weights and its Cell, built once. `forward_step`
-reuses that copy and that cell on every step, so a stream's parameters
-are frozen from `init_state` on: an update of the network (`adam_step`,
-`fit`) reaches only the streams started after it.
+a copy of the layer's weights and its Cell, built once in the stream's
+mode. `forward_step` reuses that copy and that cell on every step, so a
+stream's parameters and mode are fixed at `init_state`: an update of the
+network (`adam_step`, `fit`) reaches only the streams started after it.
 
 A stream's spiking layers are event-driven where their weights are wide.
-`init_state` puts a lif or alif layer's w_in, and its w_rec, on the event
-path when the matrix has at least EVENT_MIN_ENTRIES entries (2^15: with
-two n x n recurrent layers spiking at 2.5%, a step took longer on the
-event path at n = 128 and 160 and less at n = 192 and 256). On that path
-`forward_step` forms inp @ w as inp[:, r] @ w[r] over the rows r whose
-input is nonzero anywhere in the batch, so a step reads only the weight
-rows of the inputs that spiked. A call with more than half of the rows
-active (dense analog input, a large batch) takes the dense product.
+`forward_step` forms a lif or alif layer's x @ w_in, and its y @ w_rec,
+on the event path when the matrix has at least EVENT_MIN_ENTRIES entries
+(2^15: with two n x n recurrent layers spiking at 2.5%, a step took
+longer on the event path at n = 128 and 160 and less at n = 192 and
+256). On that path it forms inp @ w as inp[:, r] @ w[r] over the rows r
+whose input is nonzero anywhere in the batch, so a step reads only the
+weight rows of the inputs that spiked. A call with more than half of the
+rows active (dense analog input, a large batch) takes the dense product.
 Below the constant the dense product is cheaper than the indexing. relu
 and readout layers always take the dense product: their output is the
 membrane, which must match forward_sequence bit for bit, while a spike
@@ -97,20 +99,14 @@ absorbs the last-bit difference of a sum taken over fewer terms, as it
 absorbs the GEMV/GEMM difference above.
 
 A model file (format srnn-model/1) is JSON: the spec, and each layer's
-spec and arrays as nested lists. `save_model` writes exactly the bytes
-json.dump(doc, f, indent=1, sort_keys=True) gives for that document, and
-the files in tests/data pin them; but it streams them one array row at a
-time through json's C encoder (`_write_json`), since json.dump with an
-indent runs the pure-Python encoder over every float. What is left of a
-save is float.__repr__, the floor for this text format. `load_model`
-parses with json's C decoder and checks every array entry (a number, not
-a bool; an integer within float range; rows of one length) and every
-shape against the spec.
+spec and arrays as nested lists, written and read by srnn.jsondoc (the
+files in tests/data pin the bytes). `load_model` checks every array
+entry (a number, not a bool; an integer within float range; rows of one
+length) and every shape against the spec.
 """
 
 from __future__ import annotations
 
-import json
 import sys
 from itertools import chain
 from dataclasses import asdict, dataclass, field, fields, replace
@@ -119,7 +115,7 @@ from typing import Literal, Optional, get_args
 import numpy as np
 
 from srnn.datasets import input_array
-from srnn.jsondoc import load, read
+from srnn.jsondoc import dump, load, read
 
 MODEL_FORMAT = "srnn-model/1"
 
@@ -307,7 +303,7 @@ class LayerState:
     eta: Optional[np.ndarray]        # (B, n) for adaptive layers
     theta: Optional[np.ndarray]      # (B, n) b_0 + beta*eta, for adaptive layers
     layer: Layer                     # the stream's copy of the layer's weights
-    cell: Cell                       # cell(layer), built by init_state
+    cell: Cell                       # cell(layer, soft), built by init_state
 
 
 @dataclass
@@ -343,8 +339,12 @@ class ForwardTrace:
     inputs: np.ndarray               # (T, B, N), bool spikes or float
     layers: list[LayerTrace]         # one per layer of Network.layers
     merged: np.ndarray               # (T, B, n) every head's input (see forward_sequence)
-    soft: bool = False
     back: list[LayerTrace] = field(default_factory=list)  # in reversed input time
+
+    @property
+    def soft(self) -> bool:
+        """The mode the pass ran in, as its cells record it."""
+        return self.head.cell.soft
 
     @property
     def t_steps(self) -> int:
@@ -369,25 +369,20 @@ def _online(net: Network) -> None:
         raise ValueError("a bidirectional network needs the whole sequence")
 
 
-def init_state(net: Network, batch: int) -> list[LayerState]:
+def init_state(net: Network, batch: int, soft: bool = False) -> list[LayerState]:
     """Start an online stream of `batch` samples: one LayerState per layer.
 
     Each state holds a copy of its layer's weights and time constants and
-    the layer's Cell, built here once and reused by every forward_step of
-    the stream. The stream's parameters are therefore fixed at this call:
-    a later update of `net` does not reach it; start a new stream to run
-    the updated network. The cell also records which of a spiking layer's
-    products take the event path (see the module docstring).
+    its Cell in the given mode, built here once for every forward_step of
+    the stream. So the stream's parameters and mode are fixed at this
+    call: start a new stream to run an updated network.
     """
     _online(net)
     states = []
     for layer in net.layers:
         frozen = replace(layer, **{k: None if a is None else a.copy()
                                    for k, a in layer.param_arrays().items()})
-        c = cell(frozen)
-        if c.kind in SPIKING_KINDS:
-            c.event_in, c.event_rec = (w is not None and w.size >= EVENT_MIN_ENTRIES
-                                       for w in (frozen.w_in, frozen.w_rec))
+        c = cell(frozen, soft)
         states.append(LayerState(*_initial(frozen, c, batch), frozen, c))
     return states
 
@@ -398,16 +393,13 @@ class Cell:
 
     kind: str                        # spec.neuron, read on every step
     spec: LayerSpec
+    soft: bool                       # the pass's mode: max(0, u - theta) for H(u - theta)
     decay: np.ndarray                # (n,) d u_t / d held_t
     gain: np.ndarray                 # (n,) d u_t / d pre_t
     decay_tau: np.ndarray            # (n,) d decay / d tau_m; gain moves as -r_m times it
     rho: Optional[np.ndarray] = None       # (n,) eta retention on adaptive layers
     eta_gain: Optional[np.ndarray] = None  # (n,) 1 - rho, d eta_t / d y_{t-1}
     rho_tau: Optional[np.ndarray] = None   # (n,) d rho / d tau_adp
-    # set by init_state where a stream forms x @ w_in, y @ w_rec from the
-    # weight rows of active inputs only (see the module docstring)
-    event_in: bool = False
-    event_rec: bool = False
 
     def threshold(self, eta: Optional[np.ndarray]):
         """theta: spec.theta, or b_0 + beta * eta in a fresh array on adaptive layers."""
@@ -442,8 +434,8 @@ class Cell:
         return out
 
 
-def cell(layer: Layer) -> Cell:
-    """The layer's Cell (see the module docstring for the recursion)."""
+def cell(layer: Layer, soft: bool = False) -> Cell:
+    """The layer's Cell in the given mode (see the module docstring)."""
     s = layer.spec
     if s.neuron in ("alif", "relu"):
         decay = np.exp(-s.dt / layer.tau_m)
@@ -454,9 +446,9 @@ def cell(layer: Layer) -> Cell:
         gain = s.r_m * s.dt / layer.tau_m
         decay_tau = s.dt / layer.tau_m ** 2
     if layer.tau_adp is None:
-        return Cell(s.neuron, s, decay, gain, decay_tau)
+        return Cell(s.neuron, s, soft, decay, gain, decay_tau)
     rho = np.exp(-s.dt / layer.tau_adp)
-    return Cell(s.neuron, s, decay, gain, decay_tau, rho, 1.0 - rho,
+    return Cell(s.neuron, s, soft, decay, gain, decay_tau, rho, 1.0 - rho,
                 rho * s.dt / layer.tau_adp ** 2)
 
 
@@ -472,7 +464,7 @@ def _initial(layer: Layer, c: Cell, batch: int) -> tuple:
     return u, np.zeros(shape), eta, None if eta is None else c.threshold(eta)
 
 
-def _step_layer(c: Cell, pre: np.ndarray, prev: tuple, soft: bool,
+def _step_layer(c: Cell, pre: np.ndarray, prev: tuple,
                 out: tuple = (None, None, None)) -> tuple:
     """Advance one layer one step. Returns the new (u, y, eta, theta).
 
@@ -499,7 +491,7 @@ def _step_layer(c: Cell, pre: np.ndarray, prev: tuple, soft: bool,
         y = u
     elif c.kind == "relu":
         y = np.maximum(0.0, u, out=y)
-    elif soft:
+    elif c.soft:
         y = np.maximum(0.0, np.subtract(u, theta, out=y), out=y)
     else:
         y = np.greater_equal(u, theta, out=np.empty_like(u) if y is None else y)
@@ -517,18 +509,15 @@ def _event_product(inp: np.ndarray, w: np.ndarray) -> np.ndarray:
     return inp.take(r, axis=1) @ w.take(r, axis=0)
 
 
-def forward_step(net: Network, x_t: np.ndarray, states: list[LayerState],
-                 soft: bool = False):
+def forward_step(net: Network, x_t: np.ndarray, states: list[LayerState]):
     """One synchronous step through the stack. Returns (states', outputs).
 
     `x_t` is one step of input, (N,) or (B, N). `states` comes from
     init_state or the previous forward_step of the same stream, one entry
     per layer of `net`. The step runs on the weights and cells those
-    states carry, fixed when the stream started. A spiking layer whose
-    w_in or w_rec has at least EVENT_MIN_ENTRIES entries forms that
-    product from the rows of its active inputs only, unless more than half
-    of them are active; relu and readout layers always take the dense
-    product (see the module docstring).
+    states carry, in their mode, all fixed when the stream started. A
+    spiking layer's products with at least EVENT_MIN_ENTRIES weights take
+    the event path (see the module docstring).
     """
     _online(net)
     if len(states) != len(net.layers):
@@ -543,12 +532,14 @@ def forward_step(net: Network, x_t: np.ndarray, states: list[LayerState],
     new_states, outputs = [], []
     for st in states:
         layer, c = st.layer, st.cell
-        pre = _event_product(inp, layer.w_in) if c.event_in else inp @ layer.w_in
+        w_in, w_rec = layer.w_in, layer.w_rec
+        wide = w_in.size >= EVENT_MIN_ENTRIES and c.kind in SPIKING_KINDS
+        pre = _event_product(inp, w_in) if wide else inp @ w_in
         pre += layer.bias
-        if layer.w_rec is not None:
-            pre += (_event_product(st.y, layer.w_rec) if c.event_rec
-                    else st.y @ layer.w_rec)
-        u, y, eta, theta = _step_layer(c, pre, (st.u, st.y, st.eta, st.theta), soft)
+        if w_rec is not None:
+            wide = w_rec.size >= EVENT_MIN_ENTRIES and c.kind in SPIKING_KINDS
+            pre += _event_product(st.y, w_rec) if wide else st.y @ w_rec
+        u, y, eta, theta = _step_layer(c, pre, (st.u, st.y, st.eta, st.theta))
         new_states.append(LayerState(u, y, eta, theta, layer, c))
         outputs.append(y[0] if squeeze else y)
         inp = y
@@ -616,14 +607,14 @@ def _run_layers(layers: list[Layer], x_tbn: np.ndarray, soft: bool) -> list[Laye
     """
     traces, inp = [], x_tbn
     for layer in layers:
-        c = cell(layer)
+        c = cell(layer, soft)
         prev = _initial(layer, c, inp.shape[1])
         shape = inp.shape[:2] + (layer.size,)
         u = np.empty(shape)
         spikes = None
         if c.kind == "readout":
             y = u
-        elif c.kind in SPIKING_KINDS and not soft:
+        elif c.kind in SPIKING_KINDS and not c.soft:
             y, spikes = np.empty(shape, dtype=bool), np.empty(shape[1:])
         else:
             y = np.empty(shape)
@@ -632,7 +623,7 @@ def _run_layers(layers: list[Layer], x_tbn: np.ndarray, soft: bool) -> list[Laye
             marks = np.empty(((shape[0] + BLOCK_STEPS - 1) // BLOCK_STEPS,) + shape[1:])
             etas = (np.empty(shape[1:]), np.empty(shape[1:]))
         tr = LayerTrace(cell=c, u=u, y=y, eta_marks=marks, u_init=prev[0], y_init=prev[1])
-        hoisted = soft or c.kind in SPIKING_KINDS
+        hoisted = c.soft or c.kind in SPIKING_KINDS
         if hoisted:
             _project(inp, layer.w_in, u)
             u += layer.bias
@@ -647,7 +638,7 @@ def _run_layers(layers: list[Layer], x_tbn: np.ndarray, soft: bool) -> list[Laye
                 if t % BLOCK_STEPS == 0:
                     marks[t // BLOCK_STEPS] = prev[2]
                 eta = etas[t % 2]
-            prev = _step_layer(c, pre, prev, soft, (pre, y[t], eta))
+            prev = _step_layer(c, pre, prev, (pre, y[t], eta))
             if spikes is not None:
                 spikes[...] = prev[1]
                 prev = (prev[0], spikes) + prev[2:]
@@ -673,7 +664,7 @@ def forward_sequence(net: Network, x, soft: bool = False) -> ForwardTrace:
     if back:
         merged = 0.5 * np.add(merged, back[-1].y[::-1], dtype=float)
     head = _run_layers(net.layers[-1:], merged, soft)
-    return ForwardTrace(inputs=x_tbn, layers=fwd + head, merged=merged, soft=soft, back=back)
+    return ForwardTrace(inputs=x_tbn, layers=fwd + head, merged=merged, back=back)
 
 
 def _array_entry(v, where: str) -> np.ndarray:
@@ -714,51 +705,15 @@ def _stack_keys(spec: NetworkSpec) -> tuple[str, Optional[str]]:
     return ("forward_layers", "backward_layers") if spec.bidirectional else ("layers", None)
 
 
-def _write_json(f, v, level: int = 0) -> None:
-    """Write `v` to `f` as json.dump(v, f, indent=1, sort_keys=True) would.
-
-    `v` is a document of dicts, lists and scalars whose arrays may also be
-    numpy arrays. The text goes out piece by piece: each 1-d array, an
-    innermost row, is formed by json's C encoder in one call, with an item
-    separator that carries the row's newline and padding, so its floats get
-    json's own text (float.__repr__, NaN) and nothing larger than one row's
-    text is held at a time.
-    """
-    pad, end = "\n" + " " * (level + 1), "\n" + " " * level
-    if isinstance(v, np.ndarray) and v.ndim == 1 and len(v):
-        row = json.dumps(v.tolist(), separators=("," + pad, ": "))
-        f.write("[" + pad + row[1:-1] + end + "]")
-    elif isinstance(v, dict) and v:
-        for k, key in enumerate(sorted(v)):
-            f.write(("," if k else "{") + pad + json.dumps(key) + ": ")
-            _write_json(f, v[key], level + 1)
-        f.write(end + "}")
-    elif isinstance(v, (list, tuple, np.ndarray)) and len(v):
-        for k, x in enumerate(v):
-            f.write(("," if k else "[") + pad)
-            _write_json(f, x, level + 1)
-        f.write(end + "]")
-    else:  # a scalar or an empty container
-        f.write(json.dumps(v.tolist() if isinstance(v, np.ndarray) else v))
-
-
 def save_model(net: Network, path) -> None:
-    """Write a network to a JSON model file (format srnn-model/1).
-
-    The file holds the bytes json.dump(doc, f, indent=1, sort_keys=True)
-    gives for the model document (every array as nested lists), and the
-    files in tests/data pin them. `_write_json` streams them one array row
-    at a time, through json's C encoder, instead of converting the whole
-    document to lists and running json's pure-Python indenting encoder.
-    """
+    """Write a network to a JSON model file (format srnn-model/1), every
+    array as nested lists, with srnn.jsondoc.dump."""
     front, back = _stack_keys(net.spec)
     doc = {"format": MODEL_FORMAT, "spec": asdict(net.spec),
            front: [dict(vars(l), spec=asdict(l.spec)) for l in net.layers]}
     if back:
         doc[back] = [dict(vars(l), spec=asdict(l.spec)) for l in net.back]
-    with open(path, "w") as f:
-        _write_json(f, doc)
-        f.write("\n")
+    dump(doc, path)
 
 
 def _check_stack(layers: list[Layer], specs: list[LayerSpec], fan_in: int,

@@ -27,7 +27,11 @@ follows from u_t = decay * held_t + gain * pre_t - theta_{t-1} * y_{t-1}
 
 In the soft evaluation mode (see srnn.network) nothing is detached and
 the spike derivative is exact, which is what the finite-difference
-checker relies on.
+checker relies on. The sweep reads the mode from each trace's Cell.
+
+Labels meet the head in `_score` alone, under `backward`, `fit` and
+`evaluate`: one that is not an integer in [0, head width) raises
+ValueError naming it.
 
 Only the adjoint recursion and the eta replay run step by step. The
 partials depend on the recorded trace alone and are evaluated for a
@@ -60,7 +64,7 @@ from typing import ClassVar, Literal, Optional, Union, get_args
 import numpy as np
 
 from srnn.accounting import ArchDescription, SpikeCounts, synaptic_ops
-from srnn.datasets import csv_text, input_array
+from srnn.datasets import class_labels, csv_text, input_array
 from srnn.network import (
     BLOCK_STEPS,
     Cell,
@@ -227,13 +231,13 @@ def _sum_outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _block_partials(c: Cell, tr: LayerTrace, t0: int, t1: int, eta: Optional[np.ndarray],
-                    surrogate: SurrogateKind, soft: bool):
+                    surrogate: SurrogateKind):
     """The kind's partials over steps [t0, t1): (carry, slope, dy_next).
 
     eta holds the block's replayed eta on adaptive layers. carry =
     d u_{t+1} / d u_t, an (n,) vector unless a reset to rest makes it
     step-dependent; slope = d y_t / d u_t, None for the readout (y = u);
-    dy_next = d u_{t+1} / d y_t of the reset, None unless soft.
+    dy_next = d u_{t+1} / d y_t of the reset, None unless the cell is soft.
     """
     u = tr.u[t0:t1]
     if c.kind == "readout":
@@ -241,19 +245,16 @@ def _block_partials(c: Cell, tr: LayerTrace, t0: int, t1: int, eta: Optional[np.
     if c.kind == "relu":
         return c.decay, (u > 0).astype(float), None
     theta = c.threshold(eta)
-    if soft:
-        slope = (u >= theta).astype(float)
-    else:
-        slope = surrogate_grad(surrogate, u, theta)
+    slope = (u >= theta).astype(float) if c.soft else surrogate_grad(surrogate, u, theta)
     if c.kind == "lif":
-        reset = c.decay * (c.spec.u_r - u) if soft else None
+        reset = c.decay * (c.spec.u_r - u) if c.soft else None
         return c.decay * (1.0 - tr.y[t0:t1]), slope, reset
-    return c.decay, slope, -theta if soft else None
+    return c.decay, slope, -theta if c.soft else None
 
 
 def _layer_backward(layer: Layer, tr: LayerTrace, below_y: np.ndarray,
                     g_ext: Optional[np.ndarray], g_direct: Optional[np.ndarray],
-                    surrogate: SurrogateKind, soft: bool, need_g_below: bool = True):
+                    surrogate: SurrogateKind, need_g_below: bool = True):
     """Reverse-time sweep over one layer. Returns (grads, g_below).
 
     grads is keyed like `layer.param_arrays()`, with the same None
@@ -269,7 +270,6 @@ def _layer_backward(layer: Layer, tr: LayerTrace, below_y: np.ndarray,
     per-unit factors the step multiplies by are spread to (B, n) rows
     first: numpy multiplies equal shapes faster than it broadcasts.
     """
-    s = layer.spec
     c = tr.cell
     t_steps, batch, n = tr.u.shape
     last = t_steps - 1
@@ -294,7 +294,7 @@ def _layer_backward(layer: Layer, tr: LayerTrace, below_y: np.ndarray,
         if adaptive:
             c.replay_eta(tr.eta_marks[t0 // BLOCK_STEPS], y_prev, replay[:t1 - t0 + 1])
             eta_prev, eta = replay[:t1 - t0], replay[1:t1 - t0 + 1]
-        carry, slope, dy_next = _block_partials(c, tr, t0, t1, eta, surrogate, soft)
+        carry, slope, dy_next = _block_partials(c, tr, t0, t1, eta, surrogate)
         if carry.ndim == 1:
             carry = np.tile(carry, (batch, 1))
         for t in range(t1 - 1, t0 - 1, -1):
@@ -313,10 +313,10 @@ def _layer_backward(layer: Layer, tr: LayerTrace, below_y: np.ndarray,
             if g_direct is not None:
                 lam_u += g_direct[t]
             if adaptive:
-                if soft:                       # theta_t also scales the reset at t+1
+                if c.soft:                     # theta_t also scales the reset at t+1
                     q = np.add(q, np.multiply(tr.y[t], lam_u_next, out=tmp), out=q_buf)
                 np.multiply(rho, lam_eta_next, out=lam_eta[k])
-                lam_eta[k] -= np.multiply(s.beta, q, out=tmp)
+                lam_eta[k] -= np.multiply(c.spec.beta, q, out=tmp)
                 lam_eta_next = lam_eta[k]
             lam_u_next = lam_u
         drift = c.held(_prev(tr.u, tr.u_init, t0, t1), y_prev) - tr.u[t0:t1]
@@ -347,12 +347,13 @@ def _score(decode: str, last: LayerTrace, targets, probs: Optional[np.ndarray] =
     probabilities the loss reads, the (B, C) count softmax for spike_count
     or the (T, B, C) step softmax otherwise, and p[at] are the targets'
     entries. A caller that holds the head's `step_probs` passes them as
-    `probs`, which spares the membrane decoders a second softmax.
+    `probs`, which spares the membrane decoders a second softmax. A label
+    that is not an integer in [0, head width) raises ValueError naming it.
     """
-    t_steps, batch = last.u.shape[:2]
-    targets = np.asarray(targets)
+    t_steps, batch, width = last.u.shape
+    targets = class_labels(targets, width)
     if decode == "spike_count":
-        labels = targets.reshape(-1).astype(int)
+        labels = targets.reshape(-1)
         if labels.shape[0] != batch:
             raise ValueError("spike_count decoding needs one label per sequence")
         z = last.y.sum(axis=0)
@@ -366,7 +367,7 @@ def _score(decode: str, last: LayerTrace, targets, probs: Optional[np.ndarray] =
     if probs is None:
         probs = _softmax(last.u)
     if targets.ndim <= 1:
-        labels = targets.reshape(-1).astype(int)
+        labels = targets.reshape(-1)
         if labels.shape[0] != batch:
             raise ValueError("one label per sequence is required")
         labels_tb = np.broadcast_to(labels, (t_steps, batch))
@@ -377,7 +378,7 @@ def _score(decode: str, last: LayerTrace, targets, probs: Optional[np.ndarray] =
         if targets.shape != (batch, t_steps):
             raise ValueError(f"step labels must be (batch, t_steps)="
                              f"({batch}, {t_steps}), got {targets.shape}")
-        labels_tb = np.ascontiguousarray(targets.T.astype(int))
+        labels_tb = np.ascontiguousarray(targets.T)
         pred = np.argmax(last.u, axis=2)
         correct = int((pred == labels_tb).sum())
         total = batch * t_steps
@@ -402,13 +403,13 @@ def _loss_and_seeds(decode: str, last: LayerTrace, targets):
     return loss, None, seed, correct, total
 
 
-def _stack_backward(layers, traces, bottom_y, g_top, surrogate, soft):
+def _stack_backward(layers, traces, bottom_y, g_top, surrogate):
     """Gradients of a hidden stack whose top receives g_top; bottom_y gets none."""
     grads: list = [None] * len(layers)
     for i in range(len(layers) - 1, -1, -1):
         below = traces[i - 1].y if i > 0 else bottom_y
         grads[i], g_top = _layer_backward(layers[i], traces[i], below, g_top, None,
-                                          surrogate, soft, need_g_below=i > 0)
+                                          surrogate, need_g_below=i > 0)
     return grads
 
 
@@ -426,8 +427,7 @@ def backward(net: Network, trace: ForwardTrace, targets, surrogate: SurrogateKin
     loss, g_ext, g_dir, correct, total = _loss_and_seeds(net.spec.decode, trace.head,
                                                          targets)
     head, g_merged = _layer_backward(net.layers[-1], trace.head, trace.merged, g_ext,
-                                     g_dir, surrogate, trace.soft,
-                                     need_g_below=len(net.layers) > 1)
+                                     g_dir, surrogate, need_g_below=len(net.layers) > 1)
     if net.back:
         g_merged *= 0.5
     # The gradients of the forward and back stacks' tops. Once popped, a
@@ -436,10 +436,10 @@ def backward(net: Network, trace: ForwardTrace, targets, surrogate: SurrogateKin
     tops = [g_merged, g_merged[::-1] if net.back else None]
     del g_merged
     grads = (_stack_backward(net.layers[:-1], trace.layers[:-1], trace.inputs,
-                             tops.pop(0), surrogate, trace.soft)
+                             tops.pop(0), surrogate)
              + [head]
              + _stack_backward(net.back, trace.back, trace.inputs[::-1], tops.pop(0),
-                               surrogate, trace.soft))
+                               surrogate))
     for name, on in (("tau_m", train_tau_m), ("tau_adp", train_tau_adp)):
         for lg in grads:
             if not on and lg[name] is not None:
@@ -580,10 +580,10 @@ def fit(spec, train_data, config: TrainingConfig, eval_data=None, threads: int =
     (S, T, N), bool spikes or floats, and `.labels` of shape (S,) or
     (S, T). Bool inputs are never copied to float whole: each job slices
     its chunk, and the products that read it cast it to float (see
-    srnn.network). The log gains one
-    train row per epoch, plus an eval row when eval_data is given.
-    Raises FloatingPointError as soon as an Adam step leaves a parameter
-    non-finite, and when an epoch's mean loss is not finite.
+    srnn.network). The log gains one train row per epoch, plus an eval
+    row when eval_data is given. Raises FloatingPointError as soon as an
+    Adam step leaves a parameter non-finite or an epoch's mean loss is not
+    finite, and ValueError at a label the head cannot score (`_score`).
     """
     net = init_network(spec) if isinstance(spec, NetworkSpec) else spec
     inputs = input_array(train_data.inputs)
@@ -600,9 +600,7 @@ def fit(spec, train_data, config: TrainingConfig, eval_data=None, threads: int =
         for epoch in range(config.epochs):
             lr = lr_at(config.schedule, config.lr, epoch)
             order = rng.permutation(n)
-            ep_loss = 0.0
-            ep_correct = 0
-            ep_total = 0
+            ep_loss, ep_correct, ep_total = 0.0, 0, 0
             ep_spikes = SpikeCounts.zeros(net)
             for start in range(0, n, config.minibatch):
                 batch_idx = np.sort(order[start:start + config.minibatch])
@@ -682,9 +680,7 @@ def evaluate(net, data, chunk_size: int = 64) -> EvalReport:
     labels = np.asarray(data.labels)
     n, t_steps = inputs.shape[:2]
     decode = net.spec.decode
-    loss_sum = 0.0
-    correct = 0
-    total = 0
+    loss_sum, correct, total = 0.0, 0, 0
     spikes = SpikeCounts.zeros(net)
     input_events = 0
     anytime = np.zeros(t_steps, dtype=int)

@@ -204,6 +204,13 @@ def test_dataset_validation():
                 kind="sequence-classification", n_classes=2)
 
 
+def test_dataset_rejects_non_integer_labels():
+    # labels were cast to int: [0.5, 1.7] was stored as [0, 1]
+    x = np.zeros((2, 6, 2))
+    with pytest.raises(ValueError, match=r"label 0.5 is not an integer in \[0, 2\)"):
+        Dataset(inputs=x, labels=[0.5, 1.7], kind="sequence-classification", n_classes=2)
+
+
 def test_dense_csv_round_trip_classification(tmp_path):
     ds = gen_pattern_classification(3, 12, 5, 1.0, seed=2, n_samples=15)
     path = tmp_path / "dense.csv"

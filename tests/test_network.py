@@ -12,6 +12,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+import srnn.jsondoc
 import srnn.network
 from srnn.accounting import SpikeCounts, firing_rate
 from srnn.datasets import gen_pattern_classification
@@ -255,11 +256,11 @@ def test_forward_step_equals_forward_sequence(batch, stack):
             assert 0.0 < lt.y.mean() < 1.0   # spikes and resets were exercised
 
 
-def _stream(net, x, states, soft):
+def _stream(net, x, states):
     """Feed the rows of x to forward_step; returns (states, outputs per step)."""
     outs = []
     for x_t in x:
-        states, o = forward_step(net, x_t, states, soft=soft)
+        states, o = forward_step(net, x_t, states)
         outs.append(o)
     return states, outs
 
@@ -280,16 +281,16 @@ def test_stream_keeps_the_parameters_it_started_with(soft):
     net = _driven_net("membrane_softmax", seed=41)
     before = copy.deepcopy(net)
     x = np.random.default_rng(17).normal(size=(30, 3))
-    states, head = _stream(net, x[:12], init_state(net, batch=1), soft)
+    states, head = _stream(net, x[:12], init_state(net, batch=1, soft=soft))
     grads = backward(net, forward_sequence(net, x), [1], MultiGaussian())
     adam_step(net, grads, AdamState.for_net(net), lr=0.05)
     for a, b in zip(before.layers, net.layers):
         for k, p in a.param_arrays().items():
             assert p is None or not np.array_equal(p, b.param_arrays()[k]), k
-    _, tail = _stream(net, x[12:], states, soft)
+    _, tail = _stream(net, x[12:], states)
     old = forward_sequence(before, x, soft=soft)
     _assert_stream_matches(head + tail, old, soft)
-    _, fresh = _stream(net, x, init_state(net, batch=1), soft)
+    _, fresh = _stream(net, x, init_state(net, batch=1, soft=soft))
     new = forward_sequence(net, x, soft=soft)
     _assert_stream_matches(fresh, new, soft)
     assert not np.allclose(new.head.y, old.head.y, rtol=1e-6, atol=0)
@@ -327,22 +328,27 @@ def test_forward_step_checks_the_input_width():
 
 
 @pytest.mark.parametrize("soft", [False, True])
-def test_wide_spiking_layers_stream_from_active_rows(soft):
+def test_wide_spiking_layers_stream_from_active_rows(soft, monkeypatch):
     # the hidden layers' weights are wide enough for the event product, the
     # readout's output is its membrane and stays on the dense product
     net = _paper_net()
-    events = [(s.cell.event_in, s.cell.event_rec) for s in init_state(net, batch=1)]
-    assert events == [(True, True), (True, True), (False, False)]
+    taken, event_product = [], srnn.network._event_product
+    monkeypatch.setattr(srnn.network, "_event_product",
+                        lambda inp, w: taken.append(w) or event_product(inp, w))
+    states = init_state(net, batch=1, soft=soft)
+    forward_step(net, np.ones(700), states)
+    wide = [w for st in states[:2] for w in (st.layer.w_in, st.layer.w_rec)]
+    assert len(taken) == len(wide) and all(a is b for a, b in zip(taken, wide))
     x = gen_pattern_classification(4, 60, 700, 1.0, seed=3, n_samples=5).inputs
     x[1, 7] = 0.0                                    # a step without events
     dense = np.random.default_rng(5).standard_normal((1, 60, 700))
     # two sequences at batch 1, a batch of 3, and an input too dense for events
     for batch in (x[:1], x[1:2], x[2:], dense):
         trace = forward_sequence(net, batch, soft=soft)
-        states = init_state(net, batch=len(batch))
+        states = init_state(net, batch=len(batch), soft=soft)
         for t in range(batch.shape[1]):
             x_t = batch[0, t] if len(batch) == 1 else batch[:, t]
-            states, outs = forward_step(net, x_t, states, soft=soft)
+            states, outs = forward_step(net, x_t, states)
             for lt, y in zip(trace.layers, outs, strict=True):
                 want = lt.y[t, 0] if len(batch) == 1 else lt.y[t]
                 if soft:
@@ -605,9 +611,9 @@ def test_trace_eta_replays_the_forward_eta(t_steps, soft):
     x = np.random.default_rng(t_steps).normal(size=(2, t_steps, 3))
     trace = forward_sequence(net, x, soft=soft)
     replayed = [lt.eta for lt in trace.layers]
-    states = init_state(net, batch=2)
+    states = init_state(net, batch=2, soft=soft)
     for t in range(t_steps):
-        states, _ = forward_step(net, x[:, t], states, soft=soft)
+        states, _ = forward_step(net, x[:, t], states)
         for eta, st in zip(replayed, states, strict=True):
             if soft:  # soft mode hoists every projection, so the last bits may move
                 np.testing.assert_allclose(eta[t], st.eta, rtol=1e-12, atol=1e-12)
@@ -859,7 +865,7 @@ def test_model_writer_emits_the_bytes_of_json_dump(tmp_path):
            "é\"q": ("x\n", 1, True, None, -0.0, [[]], {"z": np.arange(3.0)})}
     listed = json.loads(json.dumps(doc, default=lambda a: a.tolist()))
     out = io.StringIO()
-    srnn.network._write_json(out, doc)
+    srnn.jsondoc._write_json(out, doc)
     assert out.getvalue() == json.dumps(listed, indent=1, sort_keys=True)
 
 

@@ -110,6 +110,35 @@ def toy_data(n=24, t=12, channels=4, classes=3, seed=0):
     return SimpleNamespace(inputs=inputs, labels=labels)
 
 
+@pytest.mark.parametrize("label", [-1, 0.5, 3])
+def test_fit_rejects_labels_the_head_cannot_score(label):
+    # the head is 3 wide: a label -1 once trained as class 2, 0.5 as class 0,
+    # and 3 raised IndexError
+    data = toy_data()
+    data.labels = np.where(np.arange(24) == 5, label, data.labels)
+    with pytest.raises(ValueError, match=rf"label {label} is not an integer in \[0, 3\)"):
+        fit(small_spec(), data, TrainingConfig(epochs=1, minibatch=8, seed=0))
+
+
+@pytest.mark.parametrize("decode", ["spike_count", "membrane_softmax"])
+def test_evaluate_and_backward_reject_a_label_past_the_head(decode):
+    # a label equal to the head's width once raised IndexError
+    net = init_network(small_spec(decode, "alif" if decode == "spike_count" else "readout"))
+    data = toy_data(n=4)
+    data.labels[2] = 3
+    why = r"label 3 is not an integer in \[0, 3\)"
+    with pytest.raises(ValueError, match=why):
+        evaluate(net, data)
+    trace = forward_sequence(net, data.inputs)
+    with pytest.raises(ValueError, match=why):
+        backward(net, trace, data.labels, MultiGaussian())
+    if decode == "membrane_softmax":     # per-step labels meet the same check
+        steps = np.zeros((4, 12), dtype=int)
+        steps[1, 7] = 3
+        with pytest.raises(ValueError, match=why):
+            backward(net, trace, steps, MultiGaussian())
+
+
 def test_backward_rejects_mismatched_trace():
     net = init_network(small_spec(), seed=0)
     bidi_spec = NetworkSpec(
