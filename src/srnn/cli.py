@@ -28,7 +28,7 @@ from srnn.datasets import csv_text, gen_pattern_classification, gen_streaming_wa
 from srnn.gradcheck import CheckMode, _kink_margin, _soft_loss, grad_check
 from srnn.jsondoc import load, read
 from srnn.network import NetworkSpec, forward_sequence, init_network, load_model, save_model
-from srnn.training import TrainingConfig, check_loss, evaluate, fit
+from srnn.training import TrainingConfig, check_targets, evaluate, fit
 
 log = logging.getLogger("srnn")
 
@@ -223,9 +223,10 @@ def _check_task(spec: NetworkSpec, task) -> None:
 def _check_labels(spec: NetworkSpec, ds, what: str) -> None:
     """Reject data whose width or labels the network cannot read or score."""
     _check_shape(spec, ds.channels, ds.n_classes, what)
-    if spec.decode == "spike_count" and ds.kind == "streaming":
-        raise UsageError(f"{what} has per-step labels, which spike_count "
-                         f"decoding cannot score")
+    try:
+        check_targets(spec, ds.labels, ds.n_samples, ds.t_steps)
+    except ValueError as e:
+        raise UsageError(f"{what}: {e}") from None
 
 
 def _write_cost_report(report, out_dir: Path) -> None:
@@ -246,7 +247,7 @@ def cmd_train(args) -> int:
         raise UsageError("the task's train split holds no samples")
     _check_labels(net_spec, train_ds, "the task")
     try:
-        check_loss(tc.loss, train_ds.labels)
+        check_targets(net_spec, train_ds.labels, *train_ds.inputs.shape[:2], tc.loss)
     except ValueError as e:
         raise UsageError(f"{args.config}: training/loss: {e}") from None
     out_dir = Path(_require(cfg, "outputs", "train").dir)

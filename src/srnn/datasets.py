@@ -92,13 +92,9 @@ class Dataset:
             raise ValueError("inputs must be (samples, t_steps, channels)")
         if self.kind not in DATASET_KINDS:
             raise ValueError(f"kind must be one of {DATASET_KINDS}")
-        want = 2 if self.kind == "streaming" else 1
-        if self.labels.ndim != want:
-            raise ValueError(f"{self.kind} labels must be {want}-d")
-        if self.labels.shape[0] != self.inputs.shape[0]:
-            raise ValueError("one label row per sample is required")
-        if want == 2 and self.labels.shape[1] != self.inputs.shape[1]:
-            raise ValueError("streaming labels need one entry per step")
+        want = self.inputs.shape[:2 if self.kind == "streaming" else 1]
+        if self.labels.shape != want:
+            raise ValueError(f"{self.kind} labels must be {want}, got {self.labels.shape}")
 
     @property
     def n_samples(self) -> int:
@@ -301,14 +297,9 @@ def read_csv(path, n_fields: int, dtype=float) -> np.ndarray:
     return arr
 
 
-def load_dense_csv(path, t_steps: int, channels: int) -> Dataset:
-    """Read label,v0,...,v{N-1} rows grouped into samples of t_steps rows.
-
-    A constant label column within a sample means sequence classification;
-    a varying one means streaming (applied uniformly over the file). Blank
-    lines are skipped. A field that is not a finite number fails, naming
-    the file and line.
-    """
+def _dense_rows(path, t_steps: int, channels: int):
+    """(samples, t_steps, channels) inputs and (samples, t_steps) int labels of
+    label,v0,...,v{N-1} rows; a non-finite or non-numeric field names its line."""
     arr = read_csv(path, channels + 1)
     n_rows = len(arr)
     if not n_rows or n_rows % t_steps != 0:
@@ -316,17 +307,21 @@ def load_dense_csv(path, t_steps: int, channels: int) -> Dataset:
                          f"of t_steps={t_steps}")
     n = n_rows // t_steps
     label_col = arr[:, 0].reshape(n, t_steps)
-    if np.any(label_col != np.rint(label_col)):
-        raise ValueError(f"{path}: labels must be integers")
-    inputs = arr[:, 1:].reshape(n, t_steps, channels)
-    step_labels = label_col.astype(int)
-    if np.all(step_labels == step_labels[:, :1]):
-        labels = step_labels[:, 0]
-        kind = "sequence-classification"
-    else:
-        labels = step_labels
-        kind = "streaming"
-    return Dataset(inputs=inputs, labels=labels, kind=kind,
+    if np.any((label_col != np.rint(label_col)) | (np.abs(label_col) > 2**53)):
+        raise ValueError(f"{path}: labels must be integers of magnitude at most 2**53")
+    return arr[:, 1:].reshape(n, t_steps, channels), label_col.astype(int)
+
+
+def load_dense_csv(path, t_steps: int, channels: int) -> Dataset:
+    """Read label,v0,...,v{N-1} rows grouped into samples of t_steps rows.
+
+    A constant label column within a sample means sequence classification;
+    a varying one means streaming (applied uniformly over the file).
+    """
+    inputs, step_labels = _dense_rows(path, t_steps, channels)
+    streaming = bool(np.any(step_labels != step_labels[:, :1]))
+    return Dataset(inputs=inputs, labels=step_labels if streaming else step_labels[:, 0],
+                   kind="streaming" if streaming else "sequence-classification",
                    n_classes=int(step_labels.max()) + 1)
 
 
@@ -489,28 +484,24 @@ def save_dataset(ds: Dataset, out_dir) -> None:
 def load_dataset(in_dir) -> Dataset:
     """Read a dataset directory written by save_dataset.
 
-    A manifest that is not JSON raises ValueError (srnn.jsondoc.load), one
-    of another format raises ValueError naming that format, and one that
-    does not fit `Manifest` raises srnn.jsondoc.SchemaError.
+    The manifest sets the kind and the class count, so a label outside
+    [0, n_classes) raises ValueError naming it. A manifest that is not JSON
+    raises ValueError (srnn.jsondoc.load), one of another format raises
+    ValueError naming that format, and one that does not fit `Manifest`
+    raises srnn.jsondoc.SchemaError.
     """
     path = Path(in_dir) / "manifest.json"
     doc = load(path)
     if isinstance(doc, dict) and doc.get("format") != MANIFEST_FORMAT:
         raise ValueError(f"unsupported dataset format: {doc.get('format')!r}")
     manifest = read(Manifest, doc)
-    ds = load_dense_csv(Path(in_dir) / manifest.data, manifest.t_steps, manifest.channels)
-    if ds.n_samples != manifest.n_samples:
+    inputs, labels = _dense_rows(Path(in_dir) / manifest.data, manifest.t_steps,
+                                 manifest.channels)
+    if len(inputs) != manifest.n_samples:
         raise ValueError(f"{path}: manifest sample count mismatch")
-    # a streaming set whose labels happen to be constant per sample would
-    # load as classification; the manifest is authoritative
-    if ds.kind != manifest.kind:
-        if manifest.kind == "streaming":
-            labels = np.repeat(ds.labels[:, None], ds.t_steps, axis=1)
-            ds = Dataset(inputs=ds.inputs, labels=labels, kind="streaming",
-                         n_classes=max(ds.n_classes, manifest.n_classes))
-        else:
+    if manifest.kind == "sequence-classification":
+        if np.any(labels != labels[:, :1]):
             raise ValueError(f"{path}: kind mismatch")
-    if manifest.n_classes > ds.n_classes:
-        ds = Dataset(inputs=ds.inputs, labels=ds.labels, kind=ds.kind,
-                     n_classes=manifest.n_classes)
-    return ds
+        labels = labels[:, 0]
+    return Dataset(inputs=inputs, labels=labels, kind=manifest.kind,
+                   n_classes=manifest.n_classes)

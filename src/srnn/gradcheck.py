@@ -28,9 +28,9 @@ from typing import Literal, Optional, get_args
 
 import numpy as np
 
-from srnn.network import Network, _as_time_batch, forward_sequence
+from srnn.network import Network, _as_time_batch, _checked_input, forward_sequence
 from srnn.surrogates import MultiGaussian, SurrogateKind, surrogate_grad
-from srnn.training import GradientSet, _score, backward, zero_grads
+from srnn.training import GradientSet, _score, backward, check_targets, zero_grads
 
 CheckMode = Literal["relu_exact", "surrogate_consistency"]
 CHECK_MODES = get_args(CheckMode)
@@ -230,21 +230,16 @@ def _log_sum_exp(tape: Tape, zs: list[Node]) -> Node:
     return tape.combo([(tape.log(total), 1.0)], const=m)
 
 
-def _tape_loss(tape: Tape, decode: str, out_u, out_y, label_steps) -> Node:
-    """Loss of one sample; label_steps is an int or a per-step sequence."""
+def _tape_loss(tape: Tape, decode: str, out_u, out_y, label) -> Node:
+    """Loss of one sample; label is a class index or one per step."""
     t_steps = len(out_u)
     if decode == "spike_count":
-        label = int(label_steps)
         counts = [tape.combo([(out_y[t][c], 1.0) for t in range(t_steps)])
                   for c in range(len(out_y[0]))]
         lse = _log_sum_exp(tape, counts)
         return tape.combo([(lse, 1.0), (counts[label], -1.0)])
-    labels = ([int(label_steps)] * t_steps if np.ndim(label_steps) == 0
-              else [int(v) for v in label_steps])
-    terms = []
-    for t in range(t_steps):
-        lse = _log_sum_exp(tape, out_u[t])
-        terms.append(tape.combo([(lse, 1.0), (out_u[t][labels[t]], -1.0)]))
+    terms = [tape.combo([(_log_sum_exp(tape, out_u[t]), 1.0), (out_u[t][c], -1.0)])
+             for t, c in enumerate(np.broadcast_to(label, t_steps))]
     return tape.combo([(term, 1.0) for term in terms])
 
 
@@ -259,7 +254,7 @@ def tape_gradients(net: Network, inputs, targets, surrogate: SurrogateKind,
         raise ValueError("the tape oracle covers plain layer stacks only")
     x_tbn = _as_time_batch(inputs)
     t_steps, batch, _ = x_tbn.shape
-    targets = np.asarray(targets)
+    labels = check_targets(net.spec, targets, batch, t_steps)
     tape = Tape()
     params = _param_nodes(tape, net)
     sample_losses = []
@@ -274,8 +269,7 @@ def tape_gradients(net: Network, inputs, targets, surrogate: SurrogateKind,
                                    surrogate, soft)
             out_u.append(list(states[-1]["u"]))
             out_y.append(below)
-        label = targets[b] if targets.ndim > 0 else targets
-        sample_losses.append(_tape_loss(tape, net.spec.decode, out_u, out_y, label))
+        sample_losses.append(_tape_loss(tape, net.spec.decode, out_u, out_y, labels[b]))
     root = tape.combo([(l, 1.0) for l in sample_losses])
     tape.backward(root)
 
@@ -363,7 +357,9 @@ def _compare(reference: GradientSet, candidate: GradientSet,
 
 
 def _soft_loss(net, trace, targets) -> float:
-    return _score(net.spec.decode, trace.head, targets)[0]
+    t_steps, batch, _ = trace.head.u.shape
+    return _score(net.spec.decode, trace.head,
+                  check_targets(net.spec, targets, batch, t_steps))[0]
 
 
 def _kink_margin(trace) -> float:
@@ -421,6 +417,8 @@ def grad_check(net, inputs, targets, mode: str = "relu_exact",
     """
     if mode not in CHECK_MODES:
         raise ValueError(f"mode must be one of {CHECK_MODES}")
+    t_steps, batch, _ = _checked_input(inputs, net.spec.input_size).shape
+    targets = check_targets(net.spec, targets, batch, t_steps)
     if surrogate is None:
         surrogate = MultiGaussian()
 

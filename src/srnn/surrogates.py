@@ -94,7 +94,8 @@ class SLayer:
 SurrogateKind = Union[MultiGaussian, Gaussian, Linear, SLayer]
 
 
-def mg_grad(u, theta, h: float = 0.15, s: float = 6.0, sigma: float = 0.5):
+def mg_grad(u, theta, h: float = MultiGaussian.h, s: float = MultiGaussian.s,
+            sigma: float = MultiGaussian.sigma):
     x = np.asarray(np.asarray(u, dtype=float) - theta)
     out = _scaled_pdf(x, 0.0, sigma, 1.0 + h, np.empty_like(x))
     flank = np.empty_like(x)
@@ -103,35 +104,33 @@ def mg_grad(u, theta, h: float = 0.15, s: float = 6.0, sigma: float = 0.5):
     return float(out) if out.ndim == 0 else out
 
 
-def gaussian_grad(u, theta, sigma: float = 0.5):
+def gaussian_grad(u, theta, sigma: float = Gaussian.sigma):
     x = np.asarray(np.asarray(u, dtype=float) - theta)
     out = _scaled_pdf(x, 0.0, sigma, 1.0, x)
     return float(out) if out.ndim == 0 else out
 
 
-def linear_grad(u, theta, alpha: float = 1.0):
+def linear_grad(u, theta, alpha: float = Linear.alpha):
     x = np.asarray(u, dtype=float) - theta
     out = np.maximum(0.0, 1.0 - alpha * np.abs(x))
     return float(out) if out.ndim == 0 else out
 
 
-def slayer_grad(u, theta, alpha: float = 5.0):
+def slayer_grad(u, theta, alpha: float = SLayer.alpha):
     x = np.asarray(u, dtype=float) - theta
     out = np.exp(-alpha * np.abs(x))
     return float(out) if out.ndim == 0 else out
 
 
+_GRADS = {MultiGaussian: mg_grad, Gaussian: gaussian_grad, Linear: linear_grad,
+          SLayer: slayer_grad}
+
+
 def surrogate_grad(kind: SurrogateKind, u, theta):
     """Evaluate the configured surrogate at membrane u against threshold theta."""
-    if isinstance(kind, MultiGaussian):
-        return mg_grad(u, theta, h=kind.h, s=kind.s, sigma=kind.sigma)
-    if isinstance(kind, Gaussian):
-        return gaussian_grad(u, theta, sigma=kind.sigma)
-    if isinstance(kind, Linear):
-        return linear_grad(u, theta, alpha=kind.alpha)
-    if isinstance(kind, SLayer):
-        return slayer_grad(u, theta, alpha=kind.alpha)
-    raise TypeError(f"unknown surrogate kind: {type(kind).__name__}")
+    if type(kind) not in _GRADS:
+        raise TypeError(f"unknown surrogate kind: {type(kind).__name__}")
+    return _GRADS[type(kind)](u, theta, **vars(kind))
 
 
 def surrogate_to_dict(kind: SurrogateKind) -> dict:

@@ -29,9 +29,9 @@ In the soft evaluation mode (see srnn.network) nothing is detached and
 the spike derivative is exact, which is what the finite-difference
 checker relies on. The sweep reads the mode from each trace's Cell.
 
-Labels meet the head in `_score` alone, under `backward`, `fit` and
-`evaluate`: one that is not an integer in [0, head width) raises
-ValueError naming it.
+`check_targets` is the one rule for the labels a head can score. `fit`
+and `evaluate` apply it to the whole set, with the input check, before
+any forward pass or Adam step; `backward` to its own chunk.
 
 Only the adjoint recursion and the eta replay run step by step. The
 partials depend on the recorded trace alone and are evaluated for a
@@ -74,6 +74,7 @@ from srnn.network import (
     Network,
     NetworkSpec,
     TAU_MAX_DT,
+    _checked_input,
     _project,
     forward_sequence,
     init_network,
@@ -101,14 +102,14 @@ def _validate_probs(y_hat: np.ndarray) -> np.ndarray:
 def loss_classification(y_hat, label: int) -> float:
     """Cross-entropy -log y_hat[label] for one probability vector."""
     y_hat = _validate_probs(y_hat)
-    return float(-np.log(max(float(y_hat[int(label)]), 1e-300)))
+    return float(-np.log(max(float(y_hat[class_labels(label, len(y_hat))]), 1e-300)))
 
 
 def loss_streaming(y_hat_seq, labels) -> float:
     """Summed per-step cross-entropy over a (T, C) probability sequence."""
     y_hat_seq = _validate_probs(y_hat_seq)
-    labels = np.asarray(labels, dtype=int)
-    if y_hat_seq.shape[0] != labels.shape[0]:
+    labels = class_labels(labels, y_hat_seq.shape[-1])
+    if labels.shape != y_hat_seq.shape[:1]:
         raise ValueError("one label per step is required")
     picked = y_hat_seq[np.arange(len(labels)), labels]
     return float(-np.log(np.maximum(picked, 1e-300)).sum())
@@ -340,22 +341,38 @@ def _layer_backward(layer: Layer, tr: LayerTrace, below_y: np.ndarray,
     return grads, g_below
 
 
-def _score(decode: str, last: LayerTrace, targets, probs: Optional[np.ndarray] = None):
+def check_targets(spec: NetworkSpec, labels, batch: int, t_steps: int,
+                  loss: Optional[LossKind] = None) -> np.ndarray:
+    """The labels as the head's class indices, or ValueError naming the fault:
+    each is an integer in [0, head width) (`class_labels`), one per sequence,
+    (batch,), or, under a membrane decoder, one per step, (batch, t_steps). A
+    loss "ce" takes sequence labels, "nll_streaming" per-step ones."""
+    labels = class_labels(labels, spec.layers[-1].size)
+    if labels.shape not in ((batch,), (batch, t_steps)):
+        raise ValueError(f"labels must be ({batch},) or ({batch}, {t_steps}), "
+                         f"got shape {labels.shape}")
+    if labels.ndim == 2 and spec.decode == "spike_count":
+        raise ValueError("got per-step labels, which spike_count decoding cannot score")
+    if labels.ndim == 2 and loss == "ce":
+        raise ValueError("per-step labels need loss='nll_streaming'")
+    if labels.ndim == 1 and loss == "nll_streaming":
+        raise ValueError("loss='nll_streaming' needs per-step labels")
+    return labels
+
+
+def _score(decode: str, last: LayerTrace, labels: np.ndarray,
+           probs: Optional[np.ndarray] = None):
     """Summed loss and accuracy stats of the top layer's output.
 
-    Returns (loss_sum, correct, total_preds, p, at): p holds the
-    probabilities the loss reads, the (B, C) count softmax for spike_count
-    or the (T, B, C) step softmax otherwise, and p[at] are the targets'
-    entries. A caller that holds the head's `step_probs` passes them as
-    `probs`, which spares the membrane decoders a second softmax. A label
-    that is not an integer in [0, head width) raises ValueError naming it.
+    `labels` are class indices as `check_targets` returns them. Returns
+    (loss_sum, correct, total_preds, p, at): p holds the probabilities the
+    loss reads, the (B, C) count softmax for spike_count or the (T, B, C)
+    step softmax otherwise, and p[at] are the labels' entries. A caller
+    that holds the head's `step_probs` passes them as `probs`, which
+    spares the membrane decoders a second softmax.
     """
-    t_steps, batch, width = last.u.shape
-    targets = class_labels(targets, width)
+    t_steps, batch, _ = last.u.shape
     if decode == "spike_count":
-        labels = targets.reshape(-1)
-        if labels.shape[0] != batch:
-            raise ValueError("spike_count decoding needs one label per sequence")
         z = last.y.sum(axis=0)
         p = _softmax(z)
         at = (np.arange(batch), labels)
@@ -363,39 +380,29 @@ def _score(decode: str, last: LayerTrace, targets, probs: Optional[np.ndarray] =
         correct = int((np.argmax(z, axis=1) == labels).sum())
         return loss, correct, batch, p, at
 
-    # membrane decoders score every step
+    # membrane decoders score every step, a sequence label at each of them
     if probs is None:
         probs = _softmax(last.u)
-    if targets.ndim <= 1:
-        labels = targets.reshape(-1)
-        if labels.shape[0] != batch:
-            raise ValueError("one label per sequence is required")
-        labels_tb = np.broadcast_to(labels, (t_steps, batch))
-        pred = np.argmax(last.u.mean(axis=0), axis=1)
-        correct = int((pred == labels).sum())
-        total = batch
+    if labels.ndim == 1:
+        pred, total = np.argmax(last.u.mean(axis=0), axis=1), batch
     else:
-        if targets.shape != (batch, t_steps):
-            raise ValueError(f"step labels must be (batch, t_steps)="
-                             f"({batch}, {t_steps}), got {targets.shape}")
-        labels_tb = np.ascontiguousarray(targets.T)
-        pred = np.argmax(last.u, axis=2)
-        correct = int((pred == labels_tb).sum())
-        total = batch * t_steps
+        pred, total = np.argmax(last.u, axis=2), batch * t_steps
+    correct = int((pred == labels.T).sum())
+    labels_tb = np.ascontiguousarray(labels.T)      # C order keeps the loss sum's bits
     at = (np.arange(t_steps)[:, None], np.arange(batch)[None, :], labels_tb)
     loss = float(-np.log(np.maximum(probs[at], 1e-300)).sum())
     return loss, correct, total, probs, at
 
 
-def _loss_and_seeds(decode: str, last: LayerTrace, targets):
+def _loss_and_seeds(decode: str, last: LayerTrace, labels: np.ndarray):
     """Loss, external/direct seeds for the top layer, and accuracy stats.
 
     Returns (loss_sum, g_ext, g_direct, correct, total_preds). Seeds are
-    gradients of the summed-over-batch loss: p minus the targets' one-hot,
+    gradients of the summed-over-batch loss: p minus the labels' one-hot,
     over the counts for spike_count (the same seed at every step) and per
     step for the membrane decoders.
     """
-    loss, correct, total, p, at = _score(decode, last, targets)
+    loss, correct, total, p, at = _score(decode, last, labels)
     seed = p.copy()
     seed[at] -= 1.0
     if decode == "spike_count":
@@ -424,8 +431,10 @@ def backward(net: Network, trace: ForwardTrace, targets, surrogate: SurrogateKin
     """
     if len(net.back) != len(trace.back):
         raise TypeError("network and trace kinds do not match")
+    t_steps, batch, _ = trace.head.u.shape
+    labels = check_targets(net.spec, targets, batch, t_steps)
     loss, g_ext, g_dir, correct, total = _loss_and_seeds(net.spec.decode, trace.head,
-                                                         targets)
+                                                         labels)
     head, g_merged = _layer_backward(net.layers[-1], trace.head, trace.merged, g_ext,
                                      g_dir, surrogate, need_g_below=len(net.layers) > 1)
     if net.back:
@@ -583,13 +592,16 @@ def fit(spec, train_data, config: TrainingConfig, eval_data=None, threads: int =
     srnn.network). The log gains one train row per epoch, plus an eval
     row when eval_data is given. Raises FloatingPointError as soon as an
     Adam step leaves a parameter non-finite or an epoch's mean loss is not
-    finite, and ValueError at a label the head cannot score (`_score`).
+    finite, and ValueError before any work at an empty set or at input or
+    labels of either set that `_checked_set` rejects.
     """
     net = init_network(spec) if isinstance(spec, NetworkSpec) else spec
-    inputs = input_array(train_data.inputs)
-    labels = np.asarray(train_data.labels)
-    check_loss(config.loss, labels)
+    inputs, labels = _checked_set(net, train_data, config.loss)
+    if eval_data is not None:
+        _checked_set(net, eval_data)
     n = inputs.shape[0]
+    if not n:
+        raise ValueError("the training set holds no samples")
     log = MetricsLog()
     if config.epochs == 0:
         return net, log
@@ -658,13 +670,13 @@ class EvalReport:
         return synaptic_ops(arch, self.spikes, self.input_events)
 
 
-def check_loss(loss: str, labels) -> None:
-    """Raise ValueError unless the loss kind can score labels of this shape."""
-    ndim = np.ndim(labels)
-    if ndim == 2 and loss == "ce":
-        raise ValueError("per-step labels need loss='nll_streaming'")
-    if ndim == 1 and loss == "nll_streaming":
-        raise ValueError("loss='nll_streaming' needs per-step labels")
+def _checked_set(net, data, loss: Optional[LossKind] = None):
+    """A set's inputs and labels, checked whole (`_checked_input`, `check_targets`)."""
+    inputs = input_array(data.inputs)
+    if inputs.ndim != 3:
+        raise ValueError("inputs must be (samples, t_steps, channels)")
+    t_steps, n, _ = _checked_input(inputs, net.spec.input_size).shape
+    return inputs, check_targets(net.spec, data.labels, n, t_steps, loss)
 
 
 def evaluate(net, data, chunk_size: int = 64) -> EvalReport:
@@ -674,10 +686,9 @@ def evaluate(net, data, chunk_size: int = 64) -> EvalReport:
     count's softmax or each step's membrane softmax. A sequence label
     applies to every step of the anytime count; per-step labels are
     compared step by step. `data.inputs` may hold bool spikes or floats;
-    bool chunks stay bool, as in `fit`.
+    bool chunks stay bool, as in `fit`. `_checked_set` checks the set first.
     """
-    inputs = input_array(data.inputs)
-    labels = np.asarray(data.labels)
+    inputs, labels = _checked_set(net, data)
     n, t_steps = inputs.shape[:2]
     decode = net.spec.decode
     loss_sum, correct, total = 0.0, 0, 0

@@ -948,6 +948,38 @@ def test_config_and_manifest_fuzz_exit_0_or_2(tmp_path, capsys):
                 capsys, ["eval", "--model", str(model), "--data", str(data)], (key, value))
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_config_fuzz_pairs_exit_0_or_2(tmp_path, capsys):
+    # 60 seeded pairs of the single-leaf edits above, drawn as the model-file
+    # fuzz draws them and with the same sizes left out, run through `srnn gen`
+    cfg = pattern_config(tmp_path, out_name="fz")
+    good = json.loads(Path(cfg).read_text())
+    sized = {("task", k) for k in ("n_samples", "t_steps", "channels", "n_classes")}
+    edits = [(path, v) for path in _leaf_paths(good) for v in FUZZ_VALUES
+             if not (path in sized and v in (2**31, 10**6))]
+    rng = np.random.default_rng(9)
+    for _ in range(60):
+        pair = [edits[i] for i in rng.choice(len(edits), 2, replace=False)]
+        Path(cfg).write_text(json.dumps(_with(good, *pair)))
+        _exits_0_or_2_with_one_line(
+            capsys, ["gen", "--config", cfg, "--out", str(tmp_path / "g")], pair)
+
+
+def test_eval_rejects_a_label_past_the_manifest_class_count(tmp_path, capsys):
+    # the manifest's class count once grew to fit the data's labels
+    save_dataset(Dataset(np.zeros((3, 4, 2)), [0, 1, 3], "sequence-classification", 4),
+                 tmp_path / "data")
+    manifest = tmp_path / "data" / "manifest.json"
+    manifest.write_text(json.dumps({**json.loads(manifest.read_text()), "n_classes": 2}))
+    save_model(init_network(NetworkSpec(input_size=2, layers=[
+        LayerSpec(size=4, recurrent=True), LayerSpec(size=4)])), tmp_path / "m.json")
+    capsys.readouterr()
+    assert main(["eval", "--model", str(tmp_path / "m.json"),
+                 "--data", str(tmp_path / "data")]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == [r"error: bad dataset: label 3 is not an integer in [0, 2)"]
+
+
 def test_json_files_nested_too_deep_exit_2(tmp_path, capsys):
     # past the decoder's recursion limit, in a config, an architecture file
     # and a dataset manifest (model files are in test_malformed_model_files_exit_2)

@@ -306,6 +306,15 @@ def test_dense_csv_skips_blank_lines(tmp_path):
         load_dense_csv(path, t_steps=2, channels=2)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_dense_csv_rejects_a_label_past_the_int_range(tmp_path):
+    # 1e300 was cast to int64 with a RuntimeWarning and named as a negative label
+    path = tmp_path / "huge.csv"
+    path.write_text("1e300,1.0\n1e300,2.0\n")
+    with pytest.raises(ValueError, match=r"huge\.csv: labels must be integers"):
+        load_dense_csv(path, t_steps=2, channels=1)
+
+
 @pytest.mark.parametrize("field", ["nan", "inf", "-inf", "1e400"])
 def test_csv_loaders_reject_non_finite_fields(tmp_path, field):
     bad = tmp_path / "bad.csv"

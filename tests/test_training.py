@@ -139,6 +139,96 @@ def test_evaluate_and_backward_reject_a_label_past_the_head(decode):
             backward(net, trace, steps, MultiGaussian())
 
 
+@pytest.mark.parametrize("label", [-1, 0.5, 3])
+def test_public_losses_reject_labels_they_cannot_score(label):
+    # a label -1 once scored the last class, 0.5 class 0, and the width
+    # raised IndexError
+    why = rf"label {label} is not an integer in \[0, 3\)"
+    with pytest.raises(ValueError, match=why):
+        loss_classification([0.2, 0.3, 0.5], label)
+    with pytest.raises(ValueError, match=why):
+        loss_streaming([[0.2, 0.3, 0.5], [0.1, 0.1, 0.8]], [0, label])
+
+
+def _params(net):
+    return [a.copy() for layer in net.all_layers for a in layer.param_arrays().values()
+            if a is not None]
+
+
+def _bad_set(case):
+    data = toy_data()
+    if case == "label-past-the-head":
+        data.labels[23] = 5
+    elif case == "nan-input":
+        data.inputs[23, 4, 1] = np.nan
+    elif case == "label-count":
+        data.labels = data.labels[:23]
+    else:
+        data.inputs, data.labels = data.inputs[:0], data.labels[:0]
+    return data
+
+
+@pytest.mark.parametrize("case", ["label-past-the-head", "nan-input", "label-count", "empty"])
+def test_fit_rejects_a_bad_set_before_any_step(case, monkeypatch):
+    # each fault once raised only at the minibatch that held it, after
+    # earlier Adam steps had changed the passed-in network (a label count
+    # short by one raised IndexError, an empty set ZeroDivisionError)
+    net = init_network(small_spec(), seed=0)
+    before = _params(net)
+    passes = []
+    monkeypatch.setattr("srnn.training.forward_sequence",
+                        lambda *a, **kw: passes.append(a) or forward_sequence(*a, **kw))
+    with pytest.raises(ValueError):
+        fit(net, _bad_set(case), TrainingConfig(epochs=1, minibatch=4, seed=0))
+    assert passes == []
+    for a, b in zip(before, _params(net), strict=True):
+        np.testing.assert_array_equal(a, b)
+
+
+def _fuzzed_labels(rng, n, t_steps):
+    """A label array no head of width 3 can score for n sequences of
+    t_steps: a wrong shape (ndim 0 to 3), a bad entry, or both."""
+    shapes = [(), (n - 1,), (n + 1,), (0,), (1, n), (n, 1), (n, t_steps - 1),
+              (n - 1, t_steps), (n, t_steps, 1), (1, n, t_steps), (n,), (n, t_steps)]
+    bad = [0.5, -1, -0.5, 3, 10**30, 2**63, 1e300, np.nan, np.inf, "x", None]
+    good = [0, 1, 2, True, False, 2.0]
+    shape = shapes[rng.integers(len(shapes))]
+    entries = [good[i] for i in rng.integers(len(good), size=math.prod(shape))]
+    if entries and (shape in ((n,), (n, t_steps)) or rng.random() < 0.5):
+        entries[rng.integers(len(entries))] = bad[rng.integers(len(bad))]
+    return np.array(entries, dtype=object).reshape(shape).tolist()
+
+
+@pytest.mark.parametrize("decode", ["spike_count", "membrane_softmax"])
+def test_api_boundary_fuzz_raises_value_error(decode):
+    # seeded label arrays of wrong shapes and entries, and a non-finite
+    # input sample: fit, evaluate and backward raise ValueError, never
+    # IndexError, TypeError or ZeroDivisionError, and fit leaves the
+    # network as it was
+    net = init_network(small_spec(decode, "alif" if decode == "spike_count" else "readout"))
+    before = _params(net)
+    data = toy_data(n=8, t=6)
+    trace = forward_sequence(net, data.inputs)
+    rng = np.random.default_rng(20)
+    cases = [SimpleNamespace(inputs=data.inputs, labels=_fuzzed_labels(rng, 8, 6))
+             for _ in range(120)]
+    for value in (np.nan, np.inf, -np.inf):
+        inputs = data.inputs.copy()
+        inputs[rng.integers(8), rng.integers(6), rng.integers(4)] = value
+        cases.append(SimpleNamespace(inputs=inputs, labels=data.labels))
+    for case in cases:
+        for loss in ("ce", "nll_streaming"):
+            with pytest.raises(ValueError):
+                fit(net, case, TrainingConfig(epochs=1, minibatch=4, loss=loss))
+        with pytest.raises(ValueError):
+            evaluate(net, case)
+        if case.inputs is data.inputs:
+            with pytest.raises(ValueError):
+                backward(net, trace, case.labels, MultiGaussian())
+    for a, b in zip(before, _params(net), strict=True):
+        np.testing.assert_array_equal(a, b)
+
+
 def test_backward_rejects_mismatched_trace():
     net = init_network(small_spec(), seed=0)
     bidi_spec = NetworkSpec(
