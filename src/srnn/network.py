@@ -40,8 +40,9 @@ lif or alif trace keeps its spikes as a bool array (one byte per
 unit-step); relu and soft-mode layers keep a float y, and a readout's y
 is its u. A bool network input (spike data) stays bool in the trace too.
 The products that read bool spikes cast them to float: the projection a
-block of samples at a time (`_project`), a step-by-step product a step
-at a time, and the weight gradient in srnn.training the whole array.
+block of samples at a time (`_project`), the weight gradient in
+srnn.training a block of steps or samples at a time, both sized by
+`_cast_rows`, and a step-by-step product a step at a time.
 eta is a cheap recurrence over the spikes, so an adaptive trace keeps it
 only at the start of every BLOCK_STEPS-step block of the reverse sweep:
 eta_{t0-1} for t0 = 0, BLOCK_STEPS, 2*BLOCK_STEPS, ...
@@ -134,8 +135,10 @@ TAU_MAX_DT = 1e4
 # Time steps per block of the reverse sweep in srnn.training, and the stride
 # of an adaptive trace's eta marks (see the module docstring).
 BLOCK_STEPS = 16
-# `_project` casts bool spikes to float in blocks of whole samples holding
-# at most this many entries (1 MiB), and at least one sample.
+# Bool spikes are cast to float in blocks of whole rows of one axis holding
+# at most this many entries (1 MiB of floats), and at least one row
+# (`_cast_rows`): samples in `_project`, the reduced axis in the weight
+# gradient of srnn.training.
 CAST_BLOCK_ENTRIES = 1 << 17
 
 
@@ -564,6 +567,11 @@ def _checked_input(x, width: int) -> np.ndarray:
     return x_tbn
 
 
+def _cast_rows(row_entries: int) -> int:
+    """Rows per cast block, for rows of `row_entries` entries each."""
+    return max(1, CAST_BLOCK_ENTRIES // max(1, row_entries))
+
+
 def _project(inp: np.ndarray, w: np.ndarray, out: np.ndarray) -> None:
     """out[t] = inp[t] @ w for every step t, as one T-row GEMM per sample.
 
@@ -575,7 +583,7 @@ def _project(inp: np.ndarray, w: np.ndarray, out: np.ndarray) -> None:
     T*B rows of a time-major input is no faster and left up to 21 MiB
     more memory resident at T=250, B=64, n=256.) Bool spikes, of the
     network input or of a hard layer below, are cast to float a block of
-    samples at a time (CAST_BLOCK_ENTRIES), into the C-ordered layout
+    samples at a time (`_cast_rows`), into the C-ordered layout
     matmul would cast the whole array into, so each sample's GEMM reads
     the same floats and no float copy of a large input is made. (Casting
     one sample at a time took about 1.7 times as long at quickstart
@@ -584,7 +592,7 @@ def _project(inp: np.ndarray, w: np.ndarray, out: np.ndarray) -> None:
     if inp.strides[0] < 0:
         inp, out = inp[::-1], out[::-1]
     if inp.dtype == bool:
-        step = max(1, CAST_BLOCK_ENTRIES // max(1, inp.shape[0] * inp.shape[2]))
+        step = _cast_rows(inp.shape[0] * inp.shape[2])
         for b in range(0, inp.shape[1], step):
             block = np.ascontiguousarray(inp[:, b:b + step].transpose(1, 0, 2), dtype=float)
             np.matmul(block, w, out=out[:, b:b + step].transpose(1, 0, 2))

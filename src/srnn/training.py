@@ -39,10 +39,12 @@ block of BLOCK_STEPS steps at once, and the time-constant sums are
 reduced once per block. The adjoint step writes into three preallocated
 (B, n) buffers, so it allocates nothing. A hard trace's spikes, and a
 bool network input, are bool arrays, which the sweep casts to float once
-per block, and once per weight-gradient product. Weight
-gradients are each a single GEMM over time x batch: (T*B, fan_in)^T @
-(T*B, n) for the input weights and the same over the shifted outputs for
-the recurrent weights. The gradient passed to the layer below is formed
+per block. Weight gradients are sums over time x batch, (T*B, fan_in)^T
+@ (T*B, n) for the input weights and the same over the shifted outputs
+for the recurrent weights, reduced as GEMMs over blocks of steps (of
+samples, for the network input) and summed in block order; a block casts
+its own spikes, so no float copy of a whole spike array is made (see
+`_sum_outer`). The gradient passed to the layer below is formed
 like the forward pass's input projection, one T-row GEMM per sample, and
 the network input's own gradient, which nothing consumes, is never formed.
 
@@ -74,6 +76,7 @@ from srnn.network import (
     Network,
     NetworkSpec,
     TAU_MAX_DT,
+    _cast_rows,
     _checked_input,
     _project,
     forward_sequence,
@@ -101,6 +104,8 @@ def _validate_probs(y_hat: np.ndarray) -> np.ndarray:
 
 def loss_classification(y_hat, label: int) -> float:
     """Cross-entropy -log y_hat[label] for one probability vector."""
+    if np.ndim(y_hat) != 1:
+        raise ValueError(f"y_hat must be one probability vector, got shape {np.shape(y_hat)}")
     y_hat = _validate_probs(y_hat)
     return float(-np.log(max(float(y_hat[class_labels(label, len(y_hat))]), 1e-300)))
 
@@ -213,22 +218,38 @@ def _prev(seq: np.ndarray, init: np.ndarray, t0: int, t1: int) -> np.ndarray:
 
 
 def _sum_outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Sum over time t and sample i of outer(a[t, i], b[t, i]), as one GEMM.
+    """Sum over time t and sample i of outer(a[t, i], b[t, i]), as GEMMs over blocks.
 
     A time-major `a` reshapes for free. The network input is the swapped
     axes of a (B, T, N) array, possibly time-reversed; it is reduced in its
     own batch-major layout and the narrower `b` is the one that is copied.
-    Bool spikes are cast to float here, in their own layout: the copy
-    matmul would make for them is C-ordered, and for a narrow `b` BLAS
-    then sums in another order than it does over the transposed view.
+    Axis 0 of that layout, steps or samples, is split into blocks of at
+    most CAST_BLOCK_ENTRIES entries of `a` (`network._cast_rows`); each
+    block is one GEMM, and the blocks are summed in order, the first
+    assigned rather than added to zeros, so a single block is the bytes of
+    one GEMM over the whole array. A bool block is cast to float in its own
+    layout: the copy matmul would make is C-ordered, and for a narrow `b`
+    BLAS then sums in another order than it does over the transposed view.
+    Every dtype is blocked alike, so bool spikes give the bytes of their
+    float copy.
     """
     if a.strides[0] < 0:
         a, b = a[::-1], b[::-1]
     if not a.flags.c_contiguous and a.transpose(1, 0, 2).flags.c_contiguous:
         a, b = a.transpose(1, 0, 2), b.transpose(1, 0, 2)
-    if a.dtype == bool:
-        a = a.astype(float)
-    return a.reshape(-1, a.shape[2]).T @ b.reshape(-1, b.shape[2])
+    width, n = a.shape[2], b.shape[2]
+    step = _cast_rows(a.shape[1] * width)
+    total = None
+    for r in range(0, len(a), step):
+        block = a[r:r + step]
+        if block.dtype == bool:
+            block = block.astype(float)
+        part = block.reshape(-1, width).T @ b[r:r + step].reshape(-1, n)
+        if total is None:
+            total = part
+        else:
+            total += part
+    return np.zeros((width, n)) if total is None else total
 
 
 def _block_partials(c: Cell, tr: LayerTrace, t0: int, t1: int, eta: Optional[np.ndarray],

@@ -6,8 +6,8 @@ spike counts), of every gradient family with tau training on and off,
 of 20 hard forward_step outputs, and of a 2-epoch fit's model.json and
 metrics.csv at threads 1 and 2. The grid covers every neuron kind, both
 modes, plain, bidirectional and head-only nets, every decoder,
-T in {1, 15, 16, 17, 37} and a spiking layer on the event path, each at
-least once. A failure names the case and the arrays whose digest moved.
+T in {1, 15, 16, 17, 37, 64}, a spiking layer on the event path and a bool
+input whose weight gradient spans several cast blocks, each at least once. A failure names the case and the arrays whose digest moved.
 
 Bits depend on the BLAS kernels, which OpenBLAS picks by CPU, so the file
 records the numpy version and the digest of one fixed GEMM; where either
@@ -98,6 +98,11 @@ PASSES = {
     "event-path-hard-T16": (
         _spec([LayerSpec(size=200, **dict(ALIF, b_0=0.05)), HEAD], input_size=200),
         16, False, "bool", False),
+    # BATCH * 64 * 700 input entries > CAST_BLOCK_ENTRIES: the w_in gradient
+    # sums several cast blocks
+    "wide-bool-input-hard-T64": (
+        _spec([LayerSpec(size=6, **dict(ALIF, b_0=0.05)), HEAD], input_size=700),
+        64, False, "bool", False),
 }
 FITS = ("fit-pattern-spike_count", "fit-pattern-bidirectional",
         "fit-streaming-frozen-tau")

@@ -33,6 +33,7 @@ from srnn.training import (
     LinearToZero,
     StepDecay,
     TrainingConfig,
+    _sum_outer,
     adam_step,
     backward,
     evaluate,
@@ -56,6 +57,14 @@ def test_classification_loss_validation():
         loss_classification([0.5, -0.1, 0.6], 0)
     with pytest.raises(ValueError):
         loss_classification([0.2, 0.2], 0)
+
+
+@pytest.mark.parametrize("y_hat", [[[0.5, 0.5], [0.2, 0.8]], 1.0], ids=["rows", "0-d"])
+def test_classification_loss_takes_one_probability_vector(y_hat):
+    # a (B, C) array once picked a row and a 0-d value had no length:
+    # both raised TypeError
+    with pytest.raises(ValueError, match=r"one probability vector, got shape \("):
+        loss_classification(y_hat, 0)
 
 
 def test_streaming_loss_values():
@@ -632,6 +641,87 @@ def test_bool_inputs_train_and_score_like_their_float_copy(name, tmp_path):
         return out
 
     assert outputs(ds, "bool") == outputs(as_float, "float")
+
+
+@pytest.mark.parametrize("layout", ["input", "reversed-input", "hidden"])
+def test_weight_gradient_sums_cast_blocks_in_order(layout, monkeypatch):
+    # the weight gradient reduces axis 0 of its layout, samples of a network
+    # input and steps of a hidden trace, a block at a time: one block is the
+    # bytes of one GEMM over the whole array, several agree with it, and bool
+    # spikes give the bytes of their float copy at every block size
+    rng = np.random.default_rng(5)
+    t_steps, batch, width, n = 9, 5, 4, 3
+    b = rng.standard_normal((t_steps, batch, n))
+    # rows: the spikes in the layout that is blocked; b_rows: b aligned to it
+    if layout == "hidden":
+        rows, b_rows = rng.random((t_steps, batch, width)) < 0.4, b
+    else:
+        rows = rng.random((batch, t_steps, width)) < 0.4
+        b_rows = (b[::-1] if layout == "reversed-input" else b).transpose(1, 0, 2)
+
+    def view(r):
+        if layout == "hidden":
+            return r
+        return np.swapaxes(r, 0, 1)[::-1 if layout == "reversed-input" else 1]
+
+    whole = rows.astype(float).reshape(-1, width).T @ b_rows.reshape(-1, n)
+
+    def reduce(a, entries):
+        monkeypatch.setattr("srnn.network.CAST_BLOCK_ENTRIES", entries)
+        return _sum_outer(a, b)
+
+    row = rows[0].size
+    assert reduce(view(rows), 10**6).tobytes() == whole.tobytes()
+    for entries in (1, row, 2 * row, 3 * row - 1, 10**6):
+        got = reduce(view(rows), entries)
+        np.testing.assert_allclose(got, whole, rtol=1e-13, atol=0)
+        assert got.tobytes() == reduce(view(rows.astype(float)), entries).tobytes()
+
+
+@pytest.mark.parametrize("dtype", [bool, float])
+def test_weight_gradient_of_no_steps_is_zero(dtype):
+    # a T=1 recurrent layer reduces y[:-1] against dpre[1:], both empty
+    y, dpre = np.ones((1, 4, 3), dtype=dtype), np.ones((1, 4, 3))
+    got = _sum_outer(y[:-1], dpre[1:])
+    assert got.shape == (3, 3) and not got.any()
+
+
+@pytest.mark.parametrize("name", ["pattern", "pattern-bidirectional"])
+def test_fit_over_several_cast_blocks_keeps_the_determinism_contract(name, tmp_path,
+                                                                     monkeypatch):
+    # with blocks of 64 entries every weight gradient of these stacks spans
+    # several blocks; threads 1 and 2, and a bool set and its float copy,
+    # must still train to the same bytes
+    monkeypatch.setattr("srnn.network.CAST_BLOCK_ENTRIES", 64)
+    ds, spec, loss = _spike_task(name, tmp_path)
+    out = set()
+    for data in (ds, replace(ds, inputs=ds.inputs.astype(float))):
+        for threads in (1, 2):
+            cfg = TrainingConfig(epochs=2, minibatch=8, chunk_size=3, loss=loss, seed=1)
+            net, log = fit(spec, data, cfg, threads=threads)
+            save_model(net, tmp_path / "model.json")
+            out.add(((tmp_path / "model.json").read_bytes(), log.to_csv_text()))
+    assert len(out) == 1
+
+
+def test_backward_makes_no_float_copy_of_a_bool_chunk():
+    # one chunk of 16 x 100 x 400 spikes is 5.12 MB as floats; over what
+    # the trace already holds, backward may not hold that cast
+    rng = np.random.default_rng(3)
+    x = rng.random((16, 100, 400)) < 0.05
+    spec = NetworkSpec(input_size=400, layers=[
+        LayerSpec(size=8, neuron="alif", recurrent=True, b_0=0.05, beta=0.6),
+        LayerSpec(size=4, neuron="readout")], decode="membrane_softmax", seed=0)
+    net = init_network(spec)
+    trace = forward_sequence(net, x)
+    labels = rng.integers(4, size=16)
+    tracemalloc.start()
+    try:
+        backward(net, trace, labels, MultiGaussian())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < x.size * 8, (peak, x.size * 8)
 
 
 def test_fit_and_evaluate_make_no_float_copy_of_a_bool_set():
