@@ -6,8 +6,9 @@ reaches the up threshold, a down spike where the drop reaches the down
 threshold. It compares consecutive raw samples (not the last sample that
 fired), so encodings are invariant to adding a constant to the series.
 
-Decoders map a network's output layer onto class probabilities, either
-from accumulated spike counts or from the readout membrane at each step.
+Decoders map a network's output layer onto class probabilities through
+the output rule, `srnn.training.Output`: the softmax of the final spike
+count, or of the readout membrane at each step.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from srnn.datasets import Dataset, csv_text, input_array
-from srnn.training import _softmax, evaluate
+from srnn.training import Output, evaluate
 
 
 @dataclass
@@ -93,37 +94,32 @@ def sliding_window(x, size: int = 4, stride: int = 1) -> np.ndarray:
 
 
 def decode_spike_count(spikes) -> np.ndarray:
-    """Class probabilities from total spike counts via softmax.
-
-    Accepts a (T, C) spike record or an already-summed (C,) count vector.
-    """
+    """Class probabilities from a (T, C) spike record or a summed (C,) count
+    vector: the final count's softmax (see `srnn.training.Output`)."""
     spikes = np.asarray(spikes, dtype=float)
-    if spikes.ndim == 2:
-        spikes = spikes.sum(axis=0)
-    if spikes.ndim != 1:
-        raise ValueError("expected (T, C) spikes or (C,) counts")
-    return _softmax(spikes)
+    if spikes.ndim not in (1, 2) or not len(spikes):
+        raise ValueError("expected (T, C) spikes with T >= 1 or (C,) counts")
+    if not np.all(np.isfinite(spikes)):
+        raise ValueError("spike counts must be finite")
+    return Output.of("spike_count", y=spikes.reshape(-1, 1, spikes.shape[-1])).probs[0, 0]
 
 
 def decode_membrane(u) -> np.ndarray:
-    """Per-step class probabilities from readout membranes, softmax rows."""
+    """Per-step class probabilities from a (T, C) readout membrane record:
+    each step's softmax (see `srnn.training.Output`)."""
     u = np.asarray(u, dtype=float)
     if u.ndim != 2:
         raise ValueError("expected a (T, C) membrane record")
-    return _softmax(u, axis=-1)
+    if not np.all(np.isfinite(u)):
+        raise ValueError("membranes must be finite")
+    return Output.of("membrane_softmax", u=u[:, None]).probs[:, 0]
 
 
 def anytime_curve(net, data) -> np.ndarray:
-    """Accuracy after consuming t steps, for every t, over a dataset.
-
-    Spike-count decoding scores the running cumulative counts; membrane
-    decoding scores each step's softmax. Sequence-level labels apply to
-    every step, per-step labels are compared stepwise. This is the curve
-    of `evaluate`'s pass (EvalReport.anytime); a caller that evaluates
-    anyway reads it from the report instead.
-    """
-    if len(data.inputs) == 0:
-        raise ValueError("dataset is empty")
+    """Accuracy after consuming t steps, for every t, over a dataset: the
+    curve of `evaluate`'s pass (EvalReport.anytime), which a caller that
+    evaluates anyway reads from the report. A sequence label applies to
+    every step, per-step labels are compared stepwise."""
     return evaluate(net, data).anytime
 
 

@@ -30,7 +30,7 @@ import numpy as np
 
 from srnn.network import Network, _as_time_batch, _checked_input, forward_sequence
 from srnn.surrogates import MultiGaussian, SurrogateKind, surrogate_grad
-from srnn.training import GradientSet, _score, backward, check_targets, zero_grads
+from srnn.training import GradientSet, Output, backward, check_targets, zero_grads
 
 CheckMode = Literal["relu_exact", "surrogate_consistency"]
 CHECK_MODES = get_args(CheckMode)
@@ -358,8 +358,8 @@ def _compare(reference: GradientSet, candidate: GradientSet,
 
 def _soft_loss(net, trace, targets) -> float:
     t_steps, batch, _ = trace.head.u.shape
-    return _score(net.spec.decode, trace.head,
-                  check_targets(net.spec, targets, batch, t_steps))[0]
+    labels = check_targets(net.spec, targets, batch, t_steps)
+    return Output.of(net.spec.decode, trace.head.y, trace.head.u).loss(labels)
 
 
 def _kink_margin(trace) -> float:

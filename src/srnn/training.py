@@ -31,7 +31,10 @@ checker relies on. The sweep reads the mode from each trace's Cell.
 
 `check_targets` is the one rule for the labels a head can score. `fit`
 and `evaluate` apply it to the whole set, with the input check, before
-any forward pass or Adam step; `backward` to its own chunk.
+any forward pass or Adam step; `backward` to its own chunk. `Output` is
+the one output rule: each decode mode's evidence, softmax, loss, seed and
+predictions. Sequence accuracy reads the final spike count or the mean
+membrane, the anytime curve each step's argmax.
 
 Only the adjoint recursion and the eta replay run step by step. The
 partials depend on the recorded trace alone and are evaluated for a
@@ -60,7 +63,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cached_property, partial
 from typing import ClassVar, Literal, Optional, Union, get_args
 
 import numpy as np
@@ -88,9 +91,73 @@ LossKind = Literal["ce", "nll_streaming"]
 LOSS_KINDS = get_args(LossKind)
 
 
-def _softmax(z: np.ndarray, axis: int = -1) -> np.ndarray:
-    e = np.exp(z - np.max(z, axis=axis, keepdims=True))
-    return e / e.sum(axis=axis, keepdims=True)
+def _softmax(z: np.ndarray) -> np.ndarray:
+    e = np.exp(z - np.max(z, axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def _cross_entropy(picked) -> float:
+    """Summed -log p over the labels' probabilities, each clamped at 1e-300."""
+    return float(-np.log(np.maximum(picked, 1e-300)).sum())
+
+
+@dataclass
+class Output:
+    """The output rule: how a decode mode reads the head's (T, B, C) output.
+
+    Under spike_count the evidence at step t is the running spike count.
+    The loss reads the final count's softmax, its seed reaches every step's
+    spikes (g_ext), and a sequence's prediction is the final count's argmax.
+    Under the membrane decoders the evidence is the membrane: every step is
+    scored, its seed enters its membrane (g_direct), and a sequence's
+    prediction is the mean membrane's argmax. Per-step predictions, behind
+    the anytime count, are the evidence's argmax. Labels are class indices
+    from `check_targets`, one per sequence or (membranes only) per step.
+    """
+
+    evidence: np.ndarray
+    counts: bool
+
+    @classmethod
+    def of(cls, decode: str, y=None, u=None) -> "Output":
+        """The reading of a head's spikes y or membranes u, each (T, B, C)."""
+        counts = cls.scores_count(decode)
+        return cls(np.cumsum(y, axis=0) if counts else u, counts)
+
+    @staticmethod
+    def scores_count(decode: str) -> bool:
+        """Whether the mode scores the final count alone, so no per-step labels."""
+        return decode == "spike_count"
+
+    @cached_property
+    def probs(self) -> np.ndarray:
+        """The softmax the loss reads: the final count's, (1, B, C), or each step's."""
+        return _softmax(self.evidence[-1:] if self.counts else self.evidence)
+
+    @cached_property
+    def step_predictions(self) -> np.ndarray:
+        """The evidence's argmax at every step, (T, B)."""
+        return np.argmax(self.evidence, axis=2)
+
+    def _at(self, labels):
+        """The labels' entries of `probs`; C order keeps the loss sum's bits."""
+        return (np.arange(len(self.probs))[:, None], np.arange(len(labels)),
+                np.ascontiguousarray(labels.T))
+
+    def loss(self, labels) -> float:
+        return _cross_entropy(self.probs[self._at(labels)])
+
+    def seeds(self, labels):
+        """(g_ext, g_direct), the gradient of `loss`; one of them is None."""
+        p = self.probs.copy()
+        p[self._at(labels)] -= 1.0
+        return (np.broadcast_to(p, self.evidence.shape), None) if self.counts else (None, p)
+
+    def correct(self, labels) -> int:
+        """How many sequence, or per-step, predictions equal the labels."""
+        pred = (self.step_predictions if labels.ndim == 2 else np.argmax(
+            self.evidence[-1] if self.counts else self.evidence.mean(axis=0), axis=1))
+        return int((pred == labels.T).sum())
 
 
 def _validate_probs(y_hat: np.ndarray) -> np.ndarray:
@@ -107,7 +174,7 @@ def loss_classification(y_hat, label: int) -> float:
     if np.ndim(y_hat) != 1:
         raise ValueError(f"y_hat must be one probability vector, got shape {np.shape(y_hat)}")
     y_hat = _validate_probs(y_hat)
-    return float(-np.log(max(float(y_hat[class_labels(label, len(y_hat))]), 1e-300)))
+    return _cross_entropy(y_hat[class_labels(label, len(y_hat))])
 
 
 def loss_streaming(y_hat_seq, labels) -> float:
@@ -116,8 +183,7 @@ def loss_streaming(y_hat_seq, labels) -> float:
     labels = class_labels(labels, y_hat_seq.shape[-1])
     if labels.shape != y_hat_seq.shape[:1]:
         raise ValueError("one label per step is required")
-    picked = y_hat_seq[np.arange(len(labels)), labels]
-    return float(-np.log(np.maximum(picked, 1e-300)).sum())
+    return _cross_entropy(y_hat_seq[np.arange(len(labels)), labels])
 
 
 @dataclass
@@ -368,67 +434,19 @@ def check_targets(spec: NetworkSpec, labels, batch: int, t_steps: int,
     each is an integer in [0, head width) (`class_labels`), one per sequence,
     (batch,), or, under a membrane decoder, one per step, (batch, t_steps). A
     loss "ce" takes sequence labels, "nll_streaming" per-step ones."""
+    if t_steps < 1:
+        raise ValueError("sequences of no steps have no output to score")
     labels = class_labels(labels, spec.layers[-1].size)
     if labels.shape not in ((batch,), (batch, t_steps)):
         raise ValueError(f"labels must be ({batch},) or ({batch}, {t_steps}), "
                          f"got shape {labels.shape}")
-    if labels.ndim == 2 and spec.decode == "spike_count":
+    if labels.ndim == 2 and Output.scores_count(spec.decode):
         raise ValueError("got per-step labels, which spike_count decoding cannot score")
     if labels.ndim == 2 and loss == "ce":
         raise ValueError("per-step labels need loss='nll_streaming'")
     if labels.ndim == 1 and loss == "nll_streaming":
         raise ValueError("loss='nll_streaming' needs per-step labels")
     return labels
-
-
-def _score(decode: str, last: LayerTrace, labels: np.ndarray,
-           probs: Optional[np.ndarray] = None):
-    """Summed loss and accuracy stats of the top layer's output.
-
-    `labels` are class indices as `check_targets` returns them. Returns
-    (loss_sum, correct, total_preds, p, at): p holds the probabilities the
-    loss reads, the (B, C) count softmax for spike_count or the (T, B, C)
-    step softmax otherwise, and p[at] are the labels' entries. A caller
-    that holds the head's `step_probs` passes them as `probs`, which
-    spares the membrane decoders a second softmax.
-    """
-    t_steps, batch, _ = last.u.shape
-    if decode == "spike_count":
-        z = last.y.sum(axis=0)
-        p = _softmax(z)
-        at = (np.arange(batch), labels)
-        loss = float(-np.log(np.maximum(p[at], 1e-300)).sum())
-        correct = int((np.argmax(z, axis=1) == labels).sum())
-        return loss, correct, batch, p, at
-
-    # membrane decoders score every step, a sequence label at each of them
-    if probs is None:
-        probs = _softmax(last.u)
-    if labels.ndim == 1:
-        pred, total = np.argmax(last.u.mean(axis=0), axis=1), batch
-    else:
-        pred, total = np.argmax(last.u, axis=2), batch * t_steps
-    correct = int((pred == labels.T).sum())
-    labels_tb = np.ascontiguousarray(labels.T)      # C order keeps the loss sum's bits
-    at = (np.arange(t_steps)[:, None], np.arange(batch)[None, :], labels_tb)
-    loss = float(-np.log(np.maximum(probs[at], 1e-300)).sum())
-    return loss, correct, total, probs, at
-
-
-def _loss_and_seeds(decode: str, last: LayerTrace, labels: np.ndarray):
-    """Loss, external/direct seeds for the top layer, and accuracy stats.
-
-    Returns (loss_sum, g_ext, g_direct, correct, total_preds). Seeds are
-    gradients of the summed-over-batch loss: p minus the labels' one-hot,
-    over the counts for spike_count (the same seed at every step) and per
-    step for the membrane decoders.
-    """
-    loss, correct, total, p, at = _score(decode, last, labels)
-    seed = p.copy()
-    seed[at] -= 1.0
-    if decode == "spike_count":
-        return loss, np.broadcast_to(seed, last.u.shape), None, correct, total
-    return loss, None, seed, correct, total
 
 
 def _stack_backward(layers, traces, bottom_y, g_top, surrogate):
@@ -454,10 +472,10 @@ def backward(net: Network, trace: ForwardTrace, targets, surrogate: SurrogateKin
         raise TypeError("network and trace kinds do not match")
     t_steps, batch, _ = trace.head.u.shape
     labels = check_targets(net.spec, targets, batch, t_steps)
-    loss, g_ext, g_dir, correct, total = _loss_and_seeds(net.spec.decode, trace.head,
-                                                         labels)
-    head, g_merged = _layer_backward(net.layers[-1], trace.head, trace.merged, g_ext,
-                                     g_dir, surrogate, need_g_below=len(net.layers) > 1)
+    out = Output.of(net.spec.decode, trace.head.y, trace.head.u)
+    head, g_merged = _layer_backward(net.layers[-1], trace.head, trace.merged,
+                                     *out.seeds(labels), surrogate,
+                                     need_g_below=len(net.layers) > 1)
     if net.back:
         g_merged *= 0.5
     # The gradients of the forward and back stacks' tops. Once popped, a
@@ -474,17 +492,13 @@ def backward(net: Network, trace: ForwardTrace, targets, surrogate: SurrogateKin
         for lg in grads:
             if not on and lg[name] is not None:
                 lg[name].fill(0.0)
-    return GradientSet(layers=grads, loss=loss, correct=correct, total_preds=total)
+    return GradientSet(layers=grads, loss=out.loss(labels), correct=out.correct(labels),
+                       total_preds=labels.size)
 
 
 def step_probs(trace, decode: str) -> np.ndarray:
-    """Per-step class probabilities (T, B, C) under the given decoder.
-
-    Spike counting uses the running cumulative count up to each step.
-    """
-    if decode == "spike_count":
-        return _softmax(np.cumsum(trace.head.y, axis=0))
-    return _softmax(trace.head.u)
+    """Per-step class probabilities (T, B, C): the softmax of `Output`'s evidence."""
+    return _softmax(Output.of(decode, trace.head.y, trace.head.u).evidence)
 
 
 @dataclass
@@ -613,16 +627,14 @@ def fit(spec, train_data, config: TrainingConfig, eval_data=None, threads: int =
     srnn.network). The log gains one train row per epoch, plus an eval
     row when eval_data is given. Raises FloatingPointError as soon as an
     Adam step leaves a parameter non-finite or an epoch's mean loss is not
-    finite, and ValueError before any work at an empty set or at input or
-    labels of either set that `_checked_set` rejects.
+    finite, and ValueError before any work at a set of either kind that
+    `_checked_set` rejects.
     """
     net = init_network(spec) if isinstance(spec, NetworkSpec) else spec
     inputs, labels = _checked_set(net, train_data, config.loss)
     if eval_data is not None:
         _checked_set(net, eval_data)
     n = inputs.shape[0]
-    if not n:
-        raise ValueError("the training set holds no samples")
     log = MetricsLog()
     if config.epochs == 0:
         return net, log
@@ -633,7 +645,7 @@ def fit(spec, train_data, config: TrainingConfig, eval_data=None, threads: int =
         for epoch in range(config.epochs):
             lr = lr_at(config.schedule, config.lr, epoch)
             order = rng.permutation(n)
-            ep_loss, ep_correct, ep_total = 0.0, 0, 0
+            ep_loss, ep_correct = 0.0, 0
             ep_spikes = SpikeCounts.zeros(net)
             for start in range(0, n, config.minibatch):
                 batch_idx = np.sort(order[start:start + config.minibatch])
@@ -642,14 +654,13 @@ def fit(spec, train_data, config: TrainingConfig, eval_data=None, threads: int =
                 ep_spikes.add_(spikes)
                 ep_loss += grads.loss
                 ep_correct += grads.correct
-                ep_total += grads.total_preds
                 grads.scale_(1.0 / len(batch_idx))
                 adam_step(net, grads, adam, lr)
                 _check_finite(net, epoch)
             mean_loss = ep_loss / n
             if not math.isfinite(mean_loss):
                 raise FloatingPointError(f"training diverged at epoch {epoch}")
-            log.append(epoch, "train", mean_loss, ep_correct / max(ep_total, 1),
+            log.append(epoch, "train", mean_loss, ep_correct / labels.size,
                        ep_spikes.mean_rate, lr)
             if eval_data is not None:
                 rep = evaluate(net, eval_data)
@@ -667,9 +678,9 @@ class EvalReport:
     Besides the mean loss, the accuracy and the firing rate it holds what
     reports read from the same pass: each layer's spike counts and the
     number of input events (nonzero input entries), from which
-    `sops` charges synaptic operations; the number of correct predictions
-    at every step under `step_probs` (see `anytime`); and, for per-step
-    labels, each step's prediction, (samples, t_steps).
+    `sops` charges synaptic operations; the number of correct per-step
+    predictions (`Output.step_predictions`) at every step (see `anytime`);
+    and, for per-step labels, each step's prediction, (samples, t_steps).
     """
 
     loss: float
@@ -694,8 +705,8 @@ class EvalReport:
 def _checked_set(net, data, loss: Optional[LossKind] = None):
     """A set's inputs and labels, checked whole (`_checked_input`, `check_targets`)."""
     inputs = input_array(data.inputs)
-    if inputs.ndim != 3:
-        raise ValueError("inputs must be (samples, t_steps, channels)")
+    if inputs.ndim != 3 or not len(inputs):
+        raise ValueError("inputs must be (samples, t_steps, channels) with a sample or more")
     t_steps, n, _ = _checked_input(inputs, net.spec.input_size).shape
     return inputs, check_targets(net.spec, data.labels, n, t_steps, loss)
 
@@ -703,35 +714,27 @@ def _checked_set(net, data, loss: Optional[LossKind] = None):
 def evaluate(net, data, chunk_size: int = 64) -> EvalReport:
     """Score a network on a dataset in one forward pass, chunk by chunk.
 
-    Step predictions are the argmax of `step_probs`: the running spike
-    count's softmax or each step's membrane softmax. A sequence label
-    applies to every step of the anytime count; per-step labels are
-    compared step by step. `data.inputs` may hold bool spikes or floats;
-    bool chunks stay bool, as in `fit`. `_checked_set` checks the set first.
+    `Output` reads each chunk's loss, accuracy and per-step predictions; a
+    sequence label applies to every step of the anytime count. Bool input
+    chunks stay bool, as in `fit`. `_checked_set` checks the set first.
     """
     inputs, labels = _checked_set(net, data)
     n, t_steps = inputs.shape[:2]
-    decode = net.spec.decode
-    loss_sum, correct, total = 0.0, 0, 0
+    loss_sum, correct, input_events = 0.0, 0, 0
     spikes = SpikeCounts.zeros(net)
-    input_events = 0
     anytime = np.zeros(t_steps, dtype=int)
-    step_pred = np.empty((n, t_steps), dtype=int) if labels.ndim == 2 else None
+    step_pred = np.empty((n, t_steps), dtype=int)
     for start in range(0, n, chunk_size):
         sl = slice(start, min(start + chunk_size, n))
         trace = forward_sequence(net, inputs[sl])
-        probs = step_probs(trace, decode)
-        loss, c, tp, _, _ = _score(decode, trace.head, labels[sl], probs)
-        loss_sum += loss
-        correct += c
-        total += tp
+        out = Output.of(net.spec.decode, trace.head.y, trace.head.u)
+        loss_sum += out.loss(labels[sl])
+        correct += out.correct(labels[sl])
         spikes.add_(SpikeCounts.of(trace))
         input_events += int(np.count_nonzero(inputs[sl]))
-        pred = np.argmax(probs, axis=2)                          # (T, B)
-        anytime += (pred == labels[sl].T).sum(axis=1)
-        if step_pred is not None:
-            step_pred[sl] = pred.T
-    return EvalReport(loss=loss_sum / max(n, 1), accuracy=correct / max(total, 1),
+        anytime += (out.step_predictions == labels[sl].T).sum(axis=1)
+        step_pred[sl] = out.step_predictions.T
+    return EvalReport(loss=loss_sum / n, accuracy=correct / labels.size,
                       firing_rate=spikes.mean_rate, n_samples=n, spikes=spikes,
                       input_events=input_events, anytime_correct=anytime,
-                      step_predictions=step_pred)
+                      step_predictions=step_pred if labels.ndim == 2 else None)

@@ -3,6 +3,7 @@
 tests/data/bit_ledger.json holds, for a grid of small cases, one digest
 per array of the forward pass (u, y by value, replayed eta, merged and
 spike counts), of every gradient family with tau training on and off,
+of `evaluate`'s loss, accuracy, anytime counts and per-step predictions,
 of 20 hard forward_step outputs, and of a 2-epoch fit's model.json and
 metrics.csv at threads 1 and 2. The grid covers every neuron kind, both
 modes, plain, bidirectional and head-only nets, every decoder,
@@ -24,6 +25,7 @@ import hashlib
 import json
 import tempfile
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -40,7 +42,7 @@ from srnn.network import (
     save_model,
 )
 from srnn.surrogates import MultiGaussian
-from srnn.training import TrainingConfig, backward, fit
+from srnn.training import TrainingConfig, backward, evaluate, fit
 
 LEDGER = Path(__file__).parent / "data" / "bit_ledger.json"
 
@@ -154,6 +156,12 @@ def _pass_case(name) -> dict:
             for family, g in lg.items():
                 if g is not None:
                     out[f"{tag}.{i}.{family}"] = _digest(g)
+    rep = evaluate(net, SimpleNamespace(inputs=x, labels=labels))
+    out["eval.loss"] = rep.loss.hex()
+    out["eval.accuracy"] = rep.accuracy.hex()
+    out["eval.anytime_correct"] = _digest(rep.anytime_correct)
+    if step_labels:
+        out["eval.step_predictions"] = _digest(rep.step_predictions)
     if not spec.bidirectional:
         stream = _inputs(rng, spec, STREAM_STEPS, kind)
         states = init_state(net, batch=BATCH)

@@ -113,6 +113,10 @@ def test_decode_spike_count_values():
     np.testing.assert_allclose(decode_spike_count(np.zeros(4)), np.full(4, 0.25),
                                atol=1e-12)
     np.testing.assert_array_equal(decode_spike_count(np.zeros((5, 1))), [1.0])
+    # non-finite counts once gave all-NaN probabilities
+    for bad in ([-3.0, np.nan], [[1.0, np.inf]], [np.inf, np.inf]):
+        with pytest.raises(ValueError, match="spike counts must be finite"):
+            decode_spike_count(bad)
 
 
 def test_decode_spike_count_sums_raster_and_ignores_step_order():
@@ -137,6 +141,10 @@ def test_decode_membrane_values():
     np.testing.assert_allclose(probs, shifted, atol=1e-12)
     assert np.all(probs >= 0.0)
     np.testing.assert_allclose(probs.sum(axis=1), np.ones(10), atol=1e-9)
+    # a non-finite membrane once gave all-NaN probabilities
+    for bad in ([[np.inf, 0.0]], [[0.0, 1.0], [np.nan, 0.0]], [[-np.inf, -np.inf]]):
+        with pytest.raises(ValueError, match="membranes must be finite"):
+            decode_membrane(bad)
 
 
 def readout_passthrough_net(channels):

@@ -40,7 +40,7 @@ from srnn.neurons import (
     relu_step,
 )
 from srnn.surrogates import MultiGaussian
-from srnn.training import AdamState, _score, adam_step, backward, evaluate, step_probs
+from srnn.training import AdamState, Output, adam_step, backward, evaluate, step_probs
 
 
 def small_spec(**kw):
@@ -674,10 +674,10 @@ def test_bool_spikes_read_as_numbers():
     probs = step_probs(trace, "spike_count")
     np.testing.assert_array_equal(probs, step_probs(as_float, "spike_count"))
     labels = np.array([0, 1, 2, 1])
-    got, want = _score("spike_count", trace.head, labels), _score("spike_count", as_float.head,
-                                                               labels)
-    assert got[:3] == want[:3]
-    np.testing.assert_array_equal(got[3], want[3])
+    got, want = (Output.of("spike_count", t.head.y, t.head.u) for t in (trace, as_float))
+    assert got.loss(labels) == want.loss(labels)
+    assert got.correct(labels) == want.correct(labels)
+    np.testing.assert_array_equal(got.probs, want.probs)
     # and the reverse sweep, whose weight gradients are products with spikes
     for a, b in zip(backward(net, trace, labels, MultiGaussian()).layers,
                     backward(net, as_float, labels, MultiGaussian()).layers, strict=True):

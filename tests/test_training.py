@@ -31,8 +31,10 @@ from srnn.training import (
     AdamState,
     GradientSet,
     LinearToZero,
+    Output,
     StepDecay,
     TrainingConfig,
+    _cross_entropy,
     _sum_outer,
     adam_step,
     backward,
@@ -74,6 +76,22 @@ def test_streaming_loss_values():
     assert abs(loss_streaming(probs, labels) - want) < 1e-12
     with pytest.raises(ValueError):
         loss_streaming(probs, [0, 1])
+
+
+def test_public_losses_are_the_output_rules_loss():
+    # one clamp and one sum serve every cross-entropy, a zero-probability
+    # label included
+    rng = np.random.default_rng(12)
+    counts = Output.of("spike_count", y=rng.random((9, 1, 4)) < 0.4)
+    for label in range(4):
+        assert (loss_classification(counts.probs[0, 0], label)
+                == counts.loss(np.array([label])))
+    membrane = Output.of("membrane_softmax", u=rng.normal(0.0, 3.0, size=(11, 1, 4)))
+    labels = rng.integers(4, size=(1, 11))
+    assert loss_streaming(membrane.probs[:, 0], labels[0]) == membrane.loss(labels)
+    certain = np.array([[1.0, 0.0]])
+    assert loss_streaming(certain, [1]) == _cross_entropy(0.0) == -math.log(1e-300)
+    assert loss_classification(certain[0], 1) == _cross_entropy(0.0)
 
 
 def test_learning_rate_schedules():
@@ -190,6 +208,31 @@ def test_fit_rejects_a_bad_set_before_any_step(case, monkeypatch):
     with pytest.raises(ValueError):
         fit(net, _bad_set(case), TrainingConfig(epochs=1, minibatch=4, seed=0))
     assert passes == []
+    for a, b in zip(before, _params(net), strict=True):
+        np.testing.assert_array_equal(a, b)
+
+
+def test_evaluate_rejects_an_empty_set():
+    # a set of no samples once scored loss 0.0 and accuracy 0.0 and an
+    # all-NaN anytime curve; sequences of no steps are rejected too
+    net = init_network(small_spec("membrane_softmax", "readout"), seed=0)
+    empty = _bad_set("empty")
+    with pytest.raises(ValueError, match="with a sample or more"):
+        evaluate(net, empty)
+    stepless = toy_data(n=3, t=0)
+    with pytest.raises(ValueError, match="no steps"):
+        evaluate(net, stepless)
+
+
+def test_fit_rejects_an_empty_eval_set_before_any_step(monkeypatch):
+    net = init_network(small_spec(), seed=0)
+    before = _params(net)
+    steps = []
+    monkeypatch.setattr("srnn.training.adam_step", lambda *a: steps.append(a))
+    with pytest.raises(ValueError, match="with a sample or more"):
+        fit(net, toy_data(), TrainingConfig(epochs=1, minibatch=4, seed=0),
+            eval_data=_bad_set("empty"))
+    assert steps == []
     for a, b in zip(before, _params(net), strict=True):
         np.testing.assert_array_equal(a, b)
 
